@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Channel, Hyper, Prior, push
+from .core import Channel, Hyper, Prior
 from .errors import DimensionMismatch, ParameterError
 
 INF = math.inf
@@ -49,33 +49,74 @@ class AlphaOrder:
         return AlphaOrder(v, OPEN_UNIT if v < 1.0 else FINITE_GT1)
 
 
-def _logsumexp(values: np.ndarray) -> float:
+def _logsumexp(values: np.ndarray, axis: int | None = None):
+    """log sum exp over all entries (a float) or along ``axis`` (an array).
+
+    -inf entries add nothing, so an all -inf slice gives -inf; any +inf
+    gives +inf and any NaN gives NaN.
+    """
     v = np.asarray(values, dtype=float)
-    v = v[~np.isneginf(v)]
-    if v.size == 0:
-        return -INF
-    m = float(v.max())
-    if math.isinf(m):
-        return INF
-    return m + math.log(float(np.exp(v - m).sum()))
+    if axis is None:
+        v = v[v != -INF]
+        if v.size == 0:
+            return -INF
+        m = float(v.max())
+        if math.isinf(m):
+            return INF
+        return m + math.log(float(np.exp(v - m).sum()))
+    m = v.max(axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.log(np.exp(v - m).sum(axis=axis)) + np.squeeze(m, axis)
 
 
-def _shannon(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-(p * np.log(p)).sum())
+def _shannon(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each row (zero entries add nothing)."""
+    logs = np.log(p, out=np.zeros_like(p), where=p > 0)
+    return -(p * logs).sum(axis=-1)
+
+
+def _renyi_entropies(P: np.ndarray, a: AlphaOrder) -> np.ndarray:
+    """Renyi entropy of each row of a stack of distributions (n, |X|)."""
+    if a.branch == ZERO:
+        return np.log((P > 0).sum(axis=1))
+    if a.branch == ONE:
+        return _shannon(P)
+    if a.branch == INFINITY:
+        return -np.log(P.max(axis=1))
+    with np.errstate(divide="ignore"):
+        log_p = np.log(P)
+    return _logsumexp(a.value * log_p, axis=1) / (1.0 - a.value)
+
+
+def _arimoto(joints: np.ndarray, a: AlphaOrder) -> tuple[np.ndarray, np.ndarray]:
+    """H_alpha(X) and the Arimoto conditional entropy H_alpha(X | Y) of each
+    joint in a stack (n, |X|, |Y|); the Arimoto mutual information is their
+    difference.  All-zero rows and columns are allowed.
+    """
+    h_x = _renyi_entropies(joints.sum(axis=2), a)
+    if a.branch == ZERO:
+        return h_x, np.log((joints > 0).sum(axis=1).max(axis=1))
+    if a.branch == ONE:
+        p_y = joints.sum(axis=1, keepdims=True)
+        ratio = np.divide(joints, p_y, out=np.ones_like(joints), where=joints > 0)
+        return h_x, -(joints * np.log(ratio)).sum(axis=(1, 2))
+    if a.branch == INFINITY:
+        return h_x, -np.log(joints.max(axis=1).sum(axis=1))
+    with np.errstate(divide="ignore"):
+        log_j = np.log(joints)
+    log_norms = _logsumexp(a.value * log_j, axis=1) / a.value
+    return h_x, _logsumexp(log_norms, axis=1) * a.value / (1.0 - a.value)
+
+
+def _hyper_joint(hyper: Hyper) -> np.ndarray:
+    """The hyper's joint p(x, y) over retained outputs, as a stack of one."""
+    return (hyper.outer[:, None] * hyper.inners).T[None]
 
 
 def renyi_entropy(prior: Prior, alpha) -> float:
     """Renyi entropy of the given order, in nats."""
-    a = AlphaOrder.of(alpha)
-    p = prior.probs[prior.probs > 0]
-    if a.branch == ZERO:
-        return math.log(p.size)
-    if a.branch == ONE:
-        return _shannon(p)
-    if a.branch == INFINITY:
-        return -math.log(float(p.max()))
-    return _logsumexp(a.value * np.log(p)) / (1.0 - a.value)
+    return float(_renyi_entropies(prior.probs[None], AlphaOrder.of(alpha))[0])
 
 
 def renyi_divergence(mu: Prior, pi: Prior, alpha) -> float:
@@ -105,25 +146,14 @@ def renyi_divergence(mu: Prior, pi: Prior, alpha) -> float:
 
 def arimoto_conditional_entropy(hyper: Hyper, alpha) -> float:
     """Arimoto conditional entropy H_alpha(X | Y) of a hyper, in nats."""
-    a = AlphaOrder.of(alpha)
-    outer, inners = hyper.outer, hyper.inners
-    if a.branch == ONE:
-        return float(sum(w * _shannon(d[d > 0]) for w, d in zip(outer, inners)))
-    if a.branch == INFINITY:
-        return -math.log(float((outer * inners.max(axis=1)).sum()))
-    if a.branch == ZERO:
-        return math.log(int((inners > 0).sum(axis=1).max()))
-    log_norms = np.array(
-        [_logsumexp(a.value * np.log(d[d > 0])) / a.value for d in inners]
-    )
-    return _logsumexp(np.log(outer) + log_norms) * a.value / (1.0 - a.value)
+    _, h_cond = _arimoto(_hyper_joint(hyper), AlphaOrder.of(alpha))
+    return float(h_cond[0])
 
 
 def arimoto_mi(hyper: Hyper, alpha) -> float:
     """Arimoto mutual information of order alpha: H_alpha(X) - H_alpha(X|Y)."""
-    a = AlphaOrder.of(alpha)
-    prior = hyper.reconstruct_prior()
-    return renyi_entropy(prior, a) - arimoto_conditional_entropy(hyper, a)
+    h_x, h_cond = _arimoto(_hyper_joint(hyper), AlphaOrder.of(alpha))
+    return float(h_x[0] - h_cond[0])
 
 
 def sibson_mi(prior: Prior, channel: Channel, alpha) -> float:
@@ -143,23 +173,13 @@ def sibson_mi(prior: Prior, channel: Channel, alpha) -> float:
     if a.branch == INFINITY:
         return math.log(float(C.max(axis=0).sum()))
     if a.branch == ONE:
-        hyper = push(prior, channel)
-        return float(
-            sum(
-                w * renyi_divergence(hyper.inner(i), prior, a)
-                for i, w in enumerate(hyper.outer)
-            )
-        )
+        h_x, h_cond = _arimoto((p[:, None] * C)[None], a)
+        return float(h_x[0] - h_cond[0])
     if a.branch == ZERO:
-        hyper = push(prior, channel)
-        best = max(float(prior.probs[d > 0].sum()) for d in hyper.inners)
-        return -math.log(best)
-    log_p = np.log(p)
+        return -math.log(float((p @ (C > 0)).max()))
     with np.errstate(divide="ignore"):
         log_C = np.log(C)
-    per_output = np.array(
-        [_logsumexp(log_p + a.value * log_C[:, y]) / a.value for y in range(C.shape[1])]
-    )
+    per_output = _logsumexp(np.log(p)[:, None] + a.value * log_C, axis=0) / a.value
     return _logsumexp(per_output) * a.value / (a.value - 1.0)
 
 
@@ -188,7 +208,7 @@ def min_expected_alpha_loss(prior: Prior, alpha) -> tuple[float, Prior]:
     if a.branch == ZERO:
         raise ParameterError("alpha-loss is not defined at alpha = 0")
     if a.branch == ONE:
-        return _shannon(prior.probs[prior.probs > 0]), prior
+        return float(_shannon(prior.probs)), prior
     if a.branch == INFINITY:
         best = int(np.argmax(prior.probs))
         return 1.0 - float(prior.probs[best]), Prior.point_mass(best, prior.dim)

@@ -121,9 +121,7 @@ def alpha_beta_leakage(prior: Prior, channel: Channel, alpha, beta: float) -> fl
         norm = log_joint.max(axis=0)            # log max_x pi_x C_{x,y}
         z = float(np.log(p.max()))
     else:
-        norm = np.array(
-            [_logsumexp(a.value * log_joint[:, y]) / a.value for y in range(C.shape[1])]
-        )
+        norm = _logsumexp(a.value * log_joint, axis=0) / a.value
         z = _logsumexp(a.value * np.log(p)) / a.value
     centered = norm - z
     if math.isinf(beta):
@@ -156,13 +154,7 @@ def alpha_beta_capacity_objective(channel: Channel, alpha, beta: float):
         if a.branch == "infinity":
             mix = log_C[on].max(axis=0)
         else:
-            mix = np.array(
-                [
-                    _logsumexp(np.log(w[on]) + a.value * log_C[on, y])
-                    / a.value
-                    for y in range(C.shape[1])
-                ]
-            )
+            mix = _logsumexp(np.log(w[on])[:, None] + a.value * log_C[on], axis=0) / a.value
         best = -INF
         for xp in range(C.shape[0]):
             cols = reachable & ~(np.isneginf(mix))
@@ -189,8 +181,8 @@ def sup_over_prior(objective, dim: int, config: SimplexOptimizerConfig | None = 
     sources, with the witnessing prior and search diagnostics.
 
     The value is a certified lower bound on the supremum; global optimality
-    is not claimed unless a closed form exists.  NaN evaluations are skipped
-    and counted.
+    is not claimed unless a closed form exists.  NaN evaluations are skipped;
+    every objective call, the ascent's included, is counted.
     """
     cfg = config or SimplexOptimizerConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -199,12 +191,18 @@ def sup_over_prior(objective, dim: int, config: SimplexOptimizerConfig | None = 
     best_val = -INF
     best_point = np.full(dim, 1.0 / dim)
 
-    def consider(point: np.ndarray) -> float:
-        nonlocal evaluations, nan_count, best_val, best_point
+    def counted(point: np.ndarray) -> float:
+        nonlocal evaluations, nan_count
         evaluations += 1
         val = float(objective(point))
         if math.isnan(val):
             nan_count += 1
+        return val
+
+    def consider(point: np.ndarray) -> float:
+        nonlocal best_val, best_point
+        val = counted(point)
+        if math.isnan(val):
             return -INF
         if val > best_val:
             best_val = val
@@ -226,15 +224,13 @@ def sup_over_prior(objective, dim: int, config: SimplexOptimizerConfig | None = 
     starts.extend(dirichlet_priors(rng, dim, cfg.restarts))
     for s in starts:
         val, point = projected_ascent(
-            objective,
+            counted,
             s,
             max_iterations=cfg.max_iterations,
             tolerance=cfg.ascent_tolerance,
         )
-        if not math.isnan(val):
-            evaluations += 1
-            if val > best_val:
-                best_val, best_point = val, point
+        if val > best_val:
+            best_val, best_point = val, point
     diagnostics = {
         "evaluations": evaluations,
         "nan_evaluations": nan_count,

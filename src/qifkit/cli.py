@@ -135,13 +135,13 @@ def _parse_gain(spec: str, n_secrets: int):
     return FiniteMatrixGain(matrix)
 
 
-def _parse_alpha(text: str) -> float:
+def _parse_number(text: str) -> float:
     if text in ("inf", "infinity", "Inf"):
         return math.inf
     try:
         return float(text)
     except ValueError as exc:
-        raise CliError(f"bad alpha/beta value {text!r}") from exc
+        raise CliError(f"bad numeric value {text!r}") from exc
 
 
 def _parse_fmean(spec: str) -> FMeanSpec:
@@ -149,14 +149,14 @@ def _parse_fmean(spec: str) -> FMeanSpec:
         return identity_fmean()
     kind, _, arg = spec.partition(":")
     if kind == "alpha" and arg:
-        return f_alpha(_parse_alpha(arg))
+        return f_alpha(_parse_number(arg))
     if kind == "ab" and arg:
         parts = arg.split(",")
         if len(parts) != 2:
             raise CliError("ab f-mean needs two orders: ab:A,B")
-        return h_alpha_beta(_parse_alpha(parts[0]), _parse_alpha(parts[1]))
+        return h_alpha_beta(_parse_number(parts[0]), _parse_number(parts[1]))
     if kind == "power" and arg:
-        p = float(arg)
+        p = _parse_number(arg)
         if p == 1.0:
             return identity_fmean()
         # power exponents map onto the order-alpha family: e = (a-1)/a
@@ -231,8 +231,8 @@ def _compute(args) -> int:
             if value is None:
                 raise CliError(f"{measure} requires --{name.replace('_', '-')}")
 
-    alpha = _parse_alpha(args.alpha) if args.alpha is not None else None
-    beta = _parse_alpha(args.beta) if args.beta is not None else None
+    alpha = _parse_number(args.alpha) if args.alpha is not None else None
+    beta = _parse_number(args.beta) if args.beta is not None else None
     fmean = _parse_fmean(args.f) if args.f else None
     hmean = _parse_fmean(args.hmean) if args.hmean else None
     if alpha is not None:

@@ -15,8 +15,9 @@ from itertools import product
 
 import numpy as np
 
-from .alpha import alpha_loss, arimoto_mi, min_expected_alpha_loss, sibson_mi, sibson_via_pointwise
-from .capacity import SimplexOptimizerConfig, alpha_beta_leakage, bayes_capacity, sup_over_prior
+from .alpha import AlphaOrder, _arimoto, alpha_loss, arimoto_mi, min_expected_alpha_loss
+from .alpha import sibson_mi, sibson_via_pointwise
+from .capacity import SimplexOptimizerConfig, alpha_beta_leakage, bayes_capacity, maximal_alpha_leakage
 from .core import Channel, Prior, compose, ni_channel, push
 from .errors import ParameterError
 from .fmeans import FMeanSpec, FMeanValidityWarning, f_alpha, fmeans_equal, h_alpha_beta, identity_fmean
@@ -96,6 +97,8 @@ def run_axiom_suite(
     gain) draws: point-hyper equality, monotonicity, the two data-processing
     inequalities, prior convexity and quasi-convexity, and avg <= max.
     """
+    if n_instances < 1:
+        raise ParameterError("a suite over no instances would pass vacuously")
     rng = np.random.default_rng(seed)
     worst = {ax: (0.0, {}) for ax in axioms}
     for idx in range(n_instances):
@@ -185,6 +188,8 @@ def verify_dual_formulas(n_instances: int = 200, seed: int = 0) -> list[Verifica
     (c) the two-parameter closed form vs the vulnerability-ratio route,
     (d) the minimum expected loss closed form vs a grid-search oracle.
     """
+    if n_instances < 1:
+        raise ParameterError("a suite over no instances would pass vacuously")
     rng = np.random.default_rng(seed)
     gain = SimplexGain()
     worst = {k: (0.0, {}) for k in ("a", "b", "c", "d")}
@@ -256,30 +261,6 @@ def verify_dual_formulas(n_instances: int = 200, seed: int = 0) -> list[Verifica
     ]
 
 
-def _classical_mult_leakage_batch(joints: np.ndarray) -> np.ndarray:
-    """Multiplicative Bayes leakage for a batch of joints (n, |U|, |Y|)."""
-    post = joints.max(axis=1).sum(axis=1)
-    prior = joints.sum(axis=2).max(axis=1)
-    return np.log(post / prior)
-
-
-def _alpha_leakage_batch(joints: np.ndarray, alpha: float) -> np.ndarray:
-    """Arimoto mutual information for a batch of joints (n, |U|, |Y|)."""
-    numer = ((joints**alpha).sum(axis=1)) ** (1.0 / alpha)
-    denom = ((joints.sum(axis=2) ** alpha).sum(axis=1)) ** (1.0 / alpha)
-    return alpha / (alpha - 1.0) * np.log(numer.sum(axis=1) / denom)
-
-
-def _shannon_mi_batch(joints: np.ndarray) -> np.ndarray:
-    """Shannon mutual information for a batch of joints (n, |U|, |Y|)."""
-    p_u = joints.sum(axis=2)
-    p_y = joints.sum(axis=1)
-    outer = p_u[:, :, None] * p_y[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(joints > 0.0, joints * np.log(joints / outer), 0.0)
-    return terms.sum(axis=(1, 2))
-
-
 def _leakage_of_joint(joint: np.ndarray, gain: GainSpec, f: FMeanSpec, h: FMeanSpec) -> float:
     """Generalized multiplicative leakage of the system described by a
     joint (|U|, |Y|) matrix, through the public vulnerability API."""
@@ -312,14 +293,14 @@ def verify_maximal_equals_capacity(
     The enumeration side must stay within ``agreement_tolerance`` of the
     optimizer side (both are grid-limited) and must never exceed it beyond
     1e-9.  ``max_violation`` is the excess over those two allowances, so the
-    configured tolerance is 0.
+    configured tolerance is 0; a non-finite enumerated leakage makes it +inf.
     """
     cfg = config or SimplexOptimizerConfig(grid_resolution=100)
     n_x, u_max = sizes
     if n_x != channel.n_inputs:
         raise ParameterError("sizes[0] must match the channel input count")
-    if n_x > 3 or u_max > 4:
-        raise ParameterError("enumeration is feasible only for |X| <= 3, |U| <= 4")
+    if n_x > 3 or not 2 <= u_max <= 4:
+        raise ParameterError("enumeration is feasible only for |X| <= 3, 2 <= |U| <= 4")
     if not isinstance(gain, (IdentityGain, SimplexGain)):
         raise ParameterError("the equivalence check needs an alphabet-generic gain")
     classical = f.is_affine and h.is_affine
@@ -338,22 +319,21 @@ def verify_maximal_equals_capacity(
     C = channel.matrix
     priors = np.vstack([simplex_grid(n_x, cfg.grid_resolution), np.full((1, n_x), 1.0 / n_x)])
 
-    if classical:
-        batch = _classical_mult_leakage_batch
-    elif f.kind == "log":
-        batch = _shannon_mi_batch
-    else:
-        batch = lambda joints: _alpha_leakage_batch(joints, f.alpha)  # noqa: E731
+    # Bayes multiplicative leakage is the Arimoto information of order inf
+    order = AlphaOrder.of(math.inf if classical else f.alpha)
 
     lhs = -math.inf
     lhs_witness: dict = {}
+    non_finite = 0
     for assignment in product(range(u_max), repeat=n_x):
         member = np.zeros((n_x, u_max))
         for x, u in enumerate(assignment):
             member[x, u] = 1.0
         joints = np.einsum("nx,xu,xy->nuy", priors, member, C)
-        values = batch(joints)
-        best = int(np.nanargmax(values))
+        h_u, h_cond = _arimoto(joints, order)
+        values = h_u - h_cond
+        non_finite += int(np.count_nonzero(~np.isfinite(values)))
+        best = int(np.argmax(values))
         if values[best] > lhs:
             lhs = float(values[best])
             lhs_witness = {"map": list(assignment), "prior": priors[best].tolist()}
@@ -372,19 +352,11 @@ def verify_maximal_equals_capacity(
         rhs = bayes_capacity(channel)
         rhs_route = "bayes-capacity-closed-form"
     else:
-        def via_arimoto(p: np.ndarray) -> float:
-            return arimoto_mi(push(Prior(p), channel), f.alpha)
-
-        def via_sibson(p: np.ndarray) -> float:
-            return sibson_mi(Prior(p), channel, f.alpha)
-
-        rhs_a, _, _ = sup_over_prior(via_arimoto, n_x, cfg)
-        rhs_s, _, _ = sup_over_prior(via_sibson, n_x, cfg)
-        rhs = max(rhs_a, rhs_s)
-        rhs_route = "sup-over-prior(arimoto,sibson)"
+        rhs, _, _ = maximal_alpha_leakage(channel, f.alpha, cfg)
+        rhs_route = "maximal-alpha-leakage"
 
     structural_excess = max(0.0, lhs - rhs)
-    violation = max(
+    violation = math.inf if non_finite else max(
         0.0,
         abs(lhs - rhs) - agreement_tolerance,
         structural_excess - 1e-9,
@@ -399,6 +371,7 @@ def verify_maximal_equals_capacity(
             "rhs": rhs,
             "rhs_route": rhs_route,
             "structural_excess": structural_excess,
+            "non_finite_values": non_finite,
             "lhs_witness": lhs_witness,
         },
     )

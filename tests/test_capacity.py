@@ -91,6 +91,22 @@ def test_sup_over_prior_constant_objective():
     assert diagnostics["evaluations"] > 0
 
 
+def test_sup_over_prior_counts_every_objective_call():
+    calls = {"all": 0, "nan": 0}
+
+    def objective(p):
+        calls["all"] += 1
+        if p[0] > 0.95:
+            calls["nan"] += 1
+            return math.nan
+        return -((p[0] - 0.3) ** 2)
+
+    value, _, diagnostics = sup_over_prior(objective, 2, FAST)
+    assert value == pytest.approx(0.0, abs=1e-9)
+    assert diagnostics["evaluations"] == calls["all"]
+    assert diagnostics["nan_evaluations"] == calls["nan"] > 0
+
+
 def test_sup_over_prior_identity_channel_capacity():
     ident = Channel.identity(2)
 

@@ -133,6 +133,17 @@ def test_validation_errors_exit_2(files, capsys, tmp_path):
         )
         == 2
     )
+    channel = str(files["channel"])
+    for argv in (
+        ["compute", "mult-f-capacity", "--f", "power:abc", "--channel", channel],
+        ["verify", "equivalence", "--channel", channel, "--u-max", "0"],
+        ["verify", "equivalence", "--channel", channel, "--u-max", "1"],
+        ["verify", "axioms", "--instances", "0"],
+        ["verify", "dual", "--instances", "0"],
+        ["verify", "dual", "--instances", "-3"],
+    ):
+        assert main(argv) == 2, argv
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_gain_matrix_from_csv(files, capsys, tmp_path):

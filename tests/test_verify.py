@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from qifkit.alpha import AlphaOrder, _arimoto, arimoto_mi
 from qifkit.capacity import SimplexOptimizerConfig
+from qifkit.core import Channel, Prior, push
 from qifkit.errors import ParameterError
 from qifkit.fmeans import custom_fmean, ell_alpha, f_alpha, identity_fmean
 from qifkit.gains import FiniteMatrixGain, IdentityGain, SimplexGain
@@ -11,8 +13,6 @@ from qifkit.verify import (
     AXIOMS,
     MeasureFamily,
     VerificationResult,
-    _alpha_leakage_batch,
-    _classical_mult_leakage_batch,
     _leakage_of_joint,
     alpha_family,
     classical_family,
@@ -121,14 +121,41 @@ def test_equivalence_check_preconditions():
 
 
 def test_batch_leakage_matches_api(rng):
-    # the vectorized enumeration paths must agree with the public API
+    # the enumeration's stacked kernel must agree with the public API, also
+    # on joints with an all-zero row (a symbol of U that is never guessed)
+    joints = []
     for _ in range(20):
         n_u, n_y = (int(v) for v in rng.integers(2, 5, size=2))
         joint = rng.dirichlet(np.ones(n_u * n_y)).reshape(n_u, n_y)
-        classical = _classical_mult_leakage_batch(joint[None])[0]
-        api = _leakage_of_joint(joint, IdentityGain(), identity_fmean(), identity_fmean())
-        assert classical == pytest.approx(api, abs=1e-12)
-        f2 = f_alpha(2.0)
-        batched = _alpha_leakage_batch(joint[None], 2.0)[0]
-        api = _leakage_of_joint(joint, SimplexGain(), f2, f2)
-        assert batched == pytest.approx(api, abs=1e-10)
+        joints.append(np.vstack([joint, np.zeros((1, n_y))]))
+    for alpha in (0.5, 1.0, 2.0, 1e4, math.inf):
+        if math.isinf(alpha):
+            gain, f = IdentityGain(), identity_fmean()
+        else:
+            gain, f = SimplexGain(), f_alpha(alpha)
+        for joint in joints:
+            h_u, h_cond = _arimoto(joint[None], AlphaOrder.of(alpha))
+            api = _leakage_of_joint(joint, gain, f, f)
+            assert h_u[0] - h_cond[0] == pytest.approx(api, abs=1e-10)
+
+
+def test_batch_kernel_matches_scalar_api(rng):
+    priors = rng.dirichlet(np.ones(3), size=8)
+    channel = random_channel(rng, 3, 4)
+    joints = priors[:, :, None] * channel.matrix[None]
+    for alpha in (0.0, 0.5, 1.0, 2.0, 1e4, math.inf):
+        h_u, h_cond = _arimoto(joints, AlphaOrder.of(alpha))
+        for p, value in zip(priors, h_u - h_cond):
+            scalar = arimoto_mi(push(Prior(p), channel), alpha)
+            assert value == pytest.approx(scalar, abs=1e-10)
+
+
+def test_equivalence_check_high_order_regression():
+    # raw powers of the joint underflow to 0/0 at this order, so the
+    # enumeration must stay in the log domain
+    channel = Channel([[0.9, 0.1], [0.2, 0.8]])
+    f = f_alpha(1e4)
+    result = verify_maximal_equals_capacity(channel, SimplexGain(), f, f, (2, 4), CFG)
+    assert result.passed
+    assert result.worst_instance["non_finite_values"] == 0
+    assert result.worst_instance["lhs"] == pytest.approx(result.worst_instance["rhs"], abs=1e-6)
