@@ -2,8 +2,9 @@
 verification suites, emit versioned JSON reports.
 
 Reports are byte-identical for identical (inputs, flags, seed): keys are
-sorted, floats use repr, and no timestamps are recorded.  Exit codes:
-0 success, 2 validation error, 3 verification-suite failure.
+sorted, floats use repr, non-finite floats are the strings "inf", "-inf"
+and "nan", and no timestamps are recorded.  Exit codes: 0 success, 2
+validation error, 3 verification-suite failure.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import json
 import math
 import os
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .capacity import (
 )
 from .core import Channel, Prior, push
 from .errors import QifError
-from .fmeans import FMeanSpec, f_alpha, identity_fmean, h_alpha_beta
+from .fmeans import FMeanSpec, f_alpha, h_alpha_beta, identity_fmean
 from .gains import FiniteMatrixGain, IdentityGain, SimplexGain
 from .verify import (
     alpha_family,
@@ -51,7 +54,6 @@ from .verify import (
 from .vulnerability import (
     ADDITIVE,
     MULTIPLICATIVE,
-    LeakageReport,
     argmax_action,
     gen_posterior_vulnerability_avg,
     gen_posterior_vulnerability_max,
@@ -60,21 +62,6 @@ from .vulnerability import (
 )
 
 TOOL = f"qifkit {__version__}"
-
-LOG_VALUED = {
-    "leakage-mult",
-    "renyi-entropy",
-    "renyi-divergence",
-    "arimoto-mi",
-    "sibson-mi",
-    "pointwise-alpha",
-    "alpha-beta",
-    "bayes-capacity",
-    "ldp",
-    "renyi-ldp",
-    "max-alpha-capacity",
-    "mult-f-capacity",
-}
 
 
 class CliError(Exception):
@@ -85,7 +72,7 @@ def _read_csv_matrix(path: str) -> np.ndarray:
     try:
         with open(path, newline="") as handle:
             rows = [row for row in csv.reader(handle) if any(c.strip() for c in row)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise CliError(f"{path} is empty")
@@ -188,19 +175,27 @@ def _optimizer_config(args) -> SimplexOptimizerConfig:
     )
 
 
-def _render_value(value: float):
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
+def _render(obj):
+    """``obj`` with every non-finite float, at any depth, as a string."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {key: _render(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_render(value) for value in obj]
+    return obj
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out:
+    text = json.dumps(_render(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}") from exc
 
 
 def _provenance(args, files: dict) -> dict:
@@ -211,163 +206,195 @@ def _provenance(args, files: dict) -> dict:
     }
 
 
+# ---------------------------------------------------------------- compute
+#
+# A measure function takes ``x``: one attribute per input name, parsed, plus
+# ``h``, ``measure``, ``args`` and a ``diagnostics`` dict it may fill.  It
+# returns the value, in nats when the measure is log-valued.
+
+
+def _vulnerability(x) -> float:
+    f = x.f or identity_fmean()
+    if x.measure == "prior-v":
+        value = gen_prior_vulnerability(x.prior, x.gain, f)
+        if f.is_affine:
+            _, witness = argmax_action(x.prior, x.gain)
+            x.diagnostics["argmax_witness"] = (
+                witness.tolist() if isinstance(witness, np.ndarray) else witness
+            )
+        return value
+    hyper = push(x.prior, x.channel)
+    v_prior = gen_prior_vulnerability(x.prior, x.gain, f)
+    v_avg = gen_posterior_vulnerability_avg(hyper, x.gain, f, x.h or f)
+    v_max = gen_posterior_vulnerability_max(hyper, x.gain, f)
+    x.diagnostics.update(prior_vulnerability=v_prior, posterior_avg=v_avg, posterior_max=v_max)
+    if x.measure == "post-avg":
+        return v_avg
+    if x.measure == "post-max":
+        return v_max
+    return leakage(v_prior, v_avg, MULTIPLICATIVE if x.measure == "leakage-mult" else ADDITIVE)
+
+
+def _alpha_loss_min(x) -> float:
+    value, minimizer = min_expected_alpha_loss(x.prior, x.alpha)
+    x.diagnostics["minimizer"] = minimizer.probs.tolist()
+    return value
+
+
+def _max_alpha_capacity(x) -> float:
+    value, witness, diag = maximal_alpha_leakage(x.channel, x.alpha, _optimizer_config(x.args))
+    x.diagnostics.update(diag)
+    x.diagnostics["witness_prior"] = witness.probs.tolist()
+    x.diagnostics["bound_kind"] = "certified_lower_bound"
+    return value
+
+
+def _mult_f_capacity(x) -> float:
+    if not x.args.max_case:
+        return multiplicative_f_capacity(x.channel, x.f)
+    x.diagnostics["bound_kind"] = "upper_bound"
+    return max_case_capacity_bound(x.channel, x.f)
+
+
+class _Measure(NamedTuple):
+    inputs: tuple  # required, each the name of its --flag, checked in this order
+    compute: Callable
+    log_valued: bool
+    inf_reason: str | None = None
+
+
+_POSTERIOR = ("prior", "gain", "channel")
+_MEASURES = {
+    "prior-v": _Measure(("prior", "gain"), _vulnerability, False),
+    "post-avg": _Measure(_POSTERIOR, _vulnerability, False),
+    "post-max": _Measure(_POSTERIOR, _vulnerability, False),
+    "leakage-mult": _Measure(_POSTERIOR, _vulnerability, True, "zero_prior_vulnerability"),
+    "leakage-add": _Measure(_POSTERIOR, _vulnerability, False, "zero_prior_vulnerability"),
+    "renyi-entropy": _Measure(
+        ("prior", "alpha"), lambda x: renyi_entropy(x.prior, x.alpha), True
+    ),
+    "renyi-divergence": _Measure(
+        ("prior", "reference", "alpha"),
+        lambda x: renyi_divergence(x.prior, x.reference, x.alpha),
+        True,
+        "support_violation",
+    ),
+    "arimoto-mi": _Measure(
+        ("prior", "channel", "alpha"),
+        lambda x: arimoto_mi(push(x.prior, x.channel), x.alpha),
+        True,
+    ),
+    "sibson-mi": _Measure(
+        ("prior", "channel", "alpha"), lambda x: sibson_mi(x.prior, x.channel, x.alpha), True
+    ),
+    "alpha-loss-min": _Measure(("prior", "alpha"), _alpha_loss_min, False),
+    "pointwise-alpha": _Measure(
+        ("prior", "posterior", "alpha"),
+        lambda x: pointwise_alpha_leakage(x.prior, x.posterior, x.alpha),
+        True,
+        "support_violation",
+    ),
+    "alpha-beta": _Measure(
+        ("prior", "channel", "alpha", "beta"),
+        lambda x: alpha_beta_leakage(x.prior, x.channel, x.alpha, x.beta),
+        True,
+    ),
+    "bayes-capacity": _Measure(("channel",), lambda x: bayes_capacity(x.channel), True),
+    "ldp": _Measure(("channel",), lambda x: ldp_leakage(x.channel), True, "zero_channel_entry"),
+    "renyi-ldp": _Measure(
+        ("channel", "alpha"), lambda x: renyi_ldp(x.channel, x.alpha), True, "zero_channel_entry"
+    ),
+    "max-alpha-capacity": _Measure(("channel", "alpha"), _max_alpha_capacity, True),
+    "mult-f-capacity": _Measure(("channel", "f"), _mult_f_capacity, True),
+}
+
+
 def _compute(args) -> int:
-    measure = args.measure
-    files = {}
-    params: dict = {}
-    diagnostics: dict = {}
-    reason = None
+    entry = _MEASURES[args.measure]
+    files = {"prior": args.prior, "channel": args.channel}
+    x = SimpleNamespace(
+        measure=args.measure,
+        args=args,
+        diagnostics={},
+        prior=_read_prior(args.prior) if args.prior else None,
+        channel=_read_channel(args.channel) if args.channel else None,
+        reference=args.reference,
+        posterior=args.posterior,
+        gain=args.gain,
+        alpha=_parse_number(args.alpha) if args.alpha is not None else None,
+        beta=_parse_number(args.beta) if args.beta is not None else None,
+        f=_parse_fmean(args.f) if args.f else None,
+        h=_parse_fmean(args.hmean) if args.hmean else None,
+    )
+    params = {"alpha": x.alpha, "beta": x.beta, "f": args.f, "h": args.hmean, "gain": args.gain}
+    params = {name: value for name, value in params.items() if value not in (None, "")}
 
-    prior = channel = None
-    if args.prior:
-        prior = _read_prior(args.prior)
-        files["prior"] = args.prior
-    if args.channel:
-        channel = _read_channel(args.channel)
-        files["channel"] = args.channel
-
-    def need(**kw):
-        for name, value in kw.items():
-            if value is None:
-                raise CliError(f"{measure} requires --{name.replace('_', '-')}")
-
-    alpha = _parse_number(args.alpha) if args.alpha is not None else None
-    beta = _parse_number(args.beta) if args.beta is not None else None
-    fmean = _parse_fmean(args.f) if args.f else None
-    hmean = _parse_fmean(args.hmean) if args.hmean else None
-    if alpha is not None:
-        params["alpha"] = _render_value(alpha)
-    if beta is not None:
-        params["beta"] = _render_value(beta)
-    if args.f:
-        params["f"] = args.f
-    if args.hmean:
-        params["h"] = args.hmean
-    if args.gain:
-        params["gain"] = args.gain
-
-    if measure in ("prior-v", "post-avg", "post-max", "leakage-mult", "leakage-add"):
-        need(prior=prior, gain=args.gain)
-        if measure != "prior-v":
-            need(channel=channel)
-        gain = _parse_gain(args.gain, prior.dim)
+    for name in entry.inputs:
+        if getattr(x, name) is None:
+            raise CliError(f"{args.measure} requires --{name}")
+    for name in ("reference", "posterior"):
+        if name in entry.inputs:
+            setattr(x, name, _read_prior(getattr(args, name)))
+            files[name] = getattr(args, name)
+    if "gain" in entry.inputs:
+        x.gain = _parse_gain(args.gain, x.prior.dim)
         if args.gain not in ("identity", "simplex"):
             files["gain"] = args.gain
-        f = fmean or identity_fmean()
-        h = hmean or f
-        if measure == "prior-v":
-            value = gen_prior_vulnerability(prior, gain, f)
-            if f.is_affine:
-                _, witness = argmax_action(prior, gain)
-                diagnostics["argmax_witness"] = (
-                    witness.tolist() if isinstance(witness, np.ndarray) else witness
-                )
-        else:
-            hyper = push(prior, channel)
-            v_prior = gen_prior_vulnerability(prior, gain, f)
-            v_avg = gen_posterior_vulnerability_avg(hyper, gain, f, h)
-            v_max = gen_posterior_vulnerability_max(hyper, gain, f)
-            diagnostics["prior_vulnerability"] = v_prior
-            diagnostics["posterior_avg"] = v_avg
-            diagnostics["posterior_max"] = v_max
-            if measure == "post-avg":
-                value = v_avg
-            elif measure == "post-max":
-                value = v_max
-            else:
-                kind = MULTIPLICATIVE if measure == "leakage-mult" else ADDITIVE
-                value = leakage(v_prior, v_avg, kind)
-                if math.isinf(value):
-                    reason = "zero_prior_vulnerability"
-    elif measure == "renyi-entropy":
-        need(prior=prior, alpha=alpha)
-        value = renyi_entropy(prior, alpha)
-    elif measure == "renyi-divergence":
-        need(prior=prior, reference=args.reference, alpha=alpha)
-        reference = _read_prior(args.reference)
-        files["reference"] = args.reference
-        value = renyi_divergence(prior, reference, alpha)
-        if math.isinf(value):
-            reason = "support_violation"
-    elif measure == "arimoto-mi":
-        need(prior=prior, channel=channel, alpha=alpha)
-        value = arimoto_mi(push(prior, channel), alpha)
-    elif measure == "sibson-mi":
-        need(prior=prior, channel=channel, alpha=alpha)
-        value = sibson_mi(prior, channel, alpha)
-    elif measure == "alpha-loss-min":
-        need(prior=prior, alpha=alpha)
-        value, minimizer = min_expected_alpha_loss(prior, alpha)
-        diagnostics["minimizer"] = minimizer.probs.tolist()
-    elif measure == "pointwise-alpha":
-        need(prior=prior, posterior=args.posterior, alpha=alpha)
-        posterior = _read_prior(args.posterior)
-        files["posterior"] = args.posterior
-        value = pointwise_alpha_leakage(prior, posterior, alpha)
-        if math.isinf(value):
-            reason = "support_violation"
-    elif measure == "alpha-beta":
-        need(prior=prior, channel=channel, alpha=alpha, beta=beta)
-        value = alpha_beta_leakage(prior, channel, alpha, beta)
-    elif measure == "bayes-capacity":
-        need(channel=channel)
-        value = bayes_capacity(channel)
-    elif measure == "ldp":
-        need(channel=channel)
-        value = ldp_leakage(channel)
-        if math.isinf(value):
-            reason = "zero_channel_entry"
-    elif measure == "renyi-ldp":
-        need(channel=channel, alpha=alpha)
-        value = renyi_ldp(channel, alpha)
-        if math.isinf(value):
-            reason = "zero_channel_entry"
-    elif measure == "max-alpha-capacity":
-        need(channel=channel, alpha=alpha)
-        value, witness, diag = maximal_alpha_leakage(channel, alpha, _optimizer_config(args))
-        diagnostics.update(diag)
-        diagnostics["witness_prior"] = witness.probs.tolist()
-        diagnostics["bound_kind"] = "certified_lower_bound"
-    elif measure == "mult-f-capacity":
-        need(channel=channel, f=fmean)
-        if args.max_case:
-            value = max_case_capacity_bound(channel, fmean)
-            diagnostics["bound_kind"] = "upper_bound"
-        else:
-            value = multiplicative_f_capacity(channel, fmean)
-    else:
-        raise CliError(f"unknown measure {measure!r}")
 
+    value = entry.compute(x)
     unit = "nats"
     if args.bits:
-        if measure not in LOG_VALUED:
-            raise CliError(f"--bits applies only to log-valued measures, not {measure}")
-        if math.isfinite(value):
-            value = value / math.log(2.0)
+        if not entry.log_valued:
+            raise CliError(f"--bits applies only to log-valued measures, not {args.measure}")
+        value = value / math.log(2.0)
         unit = "bits"
-    if not math.isfinite(value) and reason is None:
+    reason = None
+    if math.isinf(value) and entry.inf_reason:
+        reason = entry.inf_reason
+    elif not math.isfinite(value):
         reason = "non_finite_result"
 
-    result = LeakageReport(
-        measure_name=measure,
-        value=value,
-        params=params,
-        diagnostics=diagnostics,
-        log_base="natural" if unit == "nats" else "bits",
-        reason=reason,
-    )
     report = {
         "schema": 1,
-        "measure": result.measure_name,
-        "value": _render_value(result.value),
+        "measure": args.measure,
+        "value": value,
         "unit": unit,
-        "reason": result.reason,
-        "params": result.params,
-        "diagnostics": result.diagnostics,
+        "reason": reason,
+        "params": params,
+        "diagnostics": x.diagnostics,
         "provenance": _provenance(args, files),
     }
     _emit(report, args.out)
     return 0
+
+
+# ---------------------------------------------------------------- verify
+
+
+def _axioms(args, files: dict) -> list:
+    families = [classical_family()] + [alpha_family(a) for a in (0.5, 2.0, math.inf)]
+    seed = _seed_from(args)
+    return [r for family in families for r in run_axiom_suite(family, args.instances, seed)]
+
+
+def _dual(args, files: dict) -> list:
+    return verify_dual_formulas(args.instances, _seed_from(args))
+
+
+def _equivalence(args, files: dict) -> list:
+    if not args.channel:
+        raise CliError("verify equivalence requires --channel")
+    channel = _read_channel(args.channel)
+    files["channel"] = args.channel
+    cfg = _optimizer_config(args)
+    sizes = (channel.n_inputs, args.u_max)
+    return [
+        verify_maximal_equals_capacity(channel, gain, f, f, sizes, cfg)
+        for gain, f in ((IdentityGain(), identity_fmean()), (SimplexGain(), f_alpha(2.0)))
+    ]
+
+
+_SUITES = {"axioms": _axioms, "dual": _dual, "equivalence": _equivalence}
 
 
 def _result_dict(result) -> dict:
@@ -377,46 +404,20 @@ def _result_dict(result) -> dict:
         "max_violation": result.max_violation,
         "tolerance": result.tolerance,
         "passed": result.passed,
+        "worst_instance": result.worst_instance,
     }
 
 
 def _verify(args) -> int:
-    seed = _seed_from(args)
-    results = []
     files: dict = {}
-    if args.suite == "axioms":
-        families = [classical_family()] + [alpha_family(a) for a in (0.5, 2.0, math.inf)]
-        for family in families:
-            results.extend(run_axiom_suite(family, args.instances, seed))
-    elif args.suite == "dual":
-        results.extend(verify_dual_formulas(args.instances, seed))
-    elif args.suite == "equivalence":
-        if not args.channel:
-            raise CliError("verify equivalence requires --channel")
-        channel = _read_channel(args.channel)
-        files["channel"] = args.channel
-        cfg = _optimizer_config(args)
-        sizes = (channel.n_inputs, args.u_max)
-        results.append(
-            verify_maximal_equals_capacity(
-                channel, IdentityGain(), identity_fmean(), identity_fmean(), sizes, cfg
-            )
-        )
-        results.append(
-            verify_maximal_equals_capacity(
-                channel, SimplexGain(), f_alpha(2.0), f_alpha(2.0), sizes, cfg
-            )
-        )
-    else:
-        raise CliError(f"unknown verify suite {args.suite!r}")
-
+    results = _SUITES[args.suite](args, files)
     all_passed = all(r.passed for r in results)
     report = {
         "schema": 1,
         "command": f"verify-{args.suite}",
         "results": [_result_dict(r) for r in results],
         "all_passed": all_passed,
-        "params": {"instances": getattr(args, "instances", None)},
+        "params": {"instances": args.instances},
         "provenance": _provenance(args, files),
     }
     _emit(report, args.out)
@@ -431,18 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="compute a single measure")
-    comp.add_argument(
-        "measure",
-        choices=sorted(
-            [
-                "prior-v", "post-avg", "post-max", "leakage-mult", "leakage-add",
-                "renyi-entropy", "renyi-divergence", "arimoto-mi", "sibson-mi",
-                "alpha-loss-min", "pointwise-alpha", "alpha-beta",
-                "bayes-capacity", "ldp", "renyi-ldp", "max-alpha-capacity",
-                "mult-f-capacity",
-            ]
-        ),
-    )
+    comp.add_argument("measure", choices=sorted(_MEASURES))
     comp.add_argument("--channel", help="channel CSV (rows = inputs)")
     comp.add_argument("--prior", help="prior CSV (single row)")
     comp.add_argument("--reference", help="reference distribution CSV (divergence)")
@@ -457,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(func=_compute)
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("suite", choices=["axioms", "dual", "equivalence"])
+    ver.add_argument("suite", choices=sorted(_SUITES))
     ver.add_argument("--instances", type=int, default=1000)
     ver.add_argument("--channel", help="channel CSV for equivalence")
     ver.add_argument("--u-max", type=int, default=4)

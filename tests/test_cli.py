@@ -1,11 +1,15 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qifkit.cli import main
+from qifkit.cli import _MEASURES, main
 from qifkit.verify import VerificationResult
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -134,7 +138,11 @@ def test_validation_errors_exit_2(files, capsys, tmp_path):
         == 2
     )
     channel = str(files["channel"])
+    utf16 = tmp_path / "utf16.csv"
+    utf16.write_bytes(b"\xff\xfe0\x00.\x005\x00")
     for argv in (
+        ["compute", "bayes-capacity", "--channel", str(utf16)],
+        ["compute", "ldp", "--channel", channel, "--out", str(tmp_path)],
         ["compute", "mult-f-capacity", "--f", "power:abc", "--channel", channel],
         ["verify", "equivalence", "--channel", channel, "--u-max", "0"],
         ["verify", "equivalence", "--channel", channel, "--u-max", "1"],
@@ -193,10 +201,77 @@ def test_verify_equivalence_cli(files, capsys):
 def test_verify_failure_exits_3(files, capsys, monkeypatch):
     import qifkit.cli as cli_module
 
+    worst = {"instance": 2, "prior": [0.25, 0.75], "alpha": 2.0, "beta": math.inf}
+
     def failing(instances, seed):
-        return [VerificationResult("dual:forced-failure", instances, 1.0, 1e-9)]
+        return [VerificationResult("dual:forced-failure", instances, 1.0, 1e-9, worst)]
 
     monkeypatch.setattr(cli_module, "verify_dual_formulas", failing)
     code, report = run_json(capsys, ["verify", "dual", "--instances", "5"])
     assert code == 3
     assert report["all_passed"] is False
+    assert report["results"][0]["worst_instance"] == {**worst, "beta": "inf"}
+
+
+def _full_argv(measure, files):
+    flags = {
+        "prior": str(files["prior"]),
+        "channel": str(files["channel"]),
+        "reference": str(files["prior"]),
+        "posterior": str(files["prior"]),
+        "gain": "identity",
+        "alpha": "2",
+        "beta": "2",
+        "f": "alpha:2",
+    }
+    return [["--" + name, flags[name]] for name in _MEASURES[measure].inputs]
+
+
+@pytest.mark.parametrize("measure", sorted(_MEASURES))
+def test_every_measure_required_inputs_and_bits(measure, files, capsys):
+    pairs = _full_argv(measure, files)
+    base = ["compute", measure, "--restarts", "1", "--grid-resolution", "5"]
+    assert main(base + sum(pairs, [])) == 0
+    assert main(base + sum(pairs, []) + ["--bits"]) == (0 if _MEASURES[measure].log_valued else 2)
+    for dropped in range(len(pairs)):
+        kept = sum(pairs[:dropped] + pairs[dropped + 1:], [])
+        assert main(base + kept) == 2
+        err = capsys.readouterr().err
+        assert f"error: {measure} requires {pairs[dropped][0]}\n" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "nan,0.5\n0.5,0.5\n",
+        "-0.1,1.1\n0.5,0.5\n",
+        "0.5,0.5\n1\n",
+        "0.5,0.5\nx,y\n",
+        b"\xff\xfe0\x00.\x005\x00",
+        None,
+    ],
+    ids=["nan", "negative", "ragged", "non-numeric", "non-utf8", "directory"],
+)
+def test_malformed_channel_exits_2(content, capsys, tmp_path):
+    channel = tmp_path / "channel.csv"
+    if content is None:
+        channel.mkdir()
+    elif isinstance(content, bytes):
+        channel.write_bytes(content)
+    else:
+        channel.write_text(content)
+    assert main(["compute", "bayes-capacity", "--channel", str(channel)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_readme_measure_table_matches_registry():
+    text = README.read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*?) \| (yes|no) \|$", text, re.MULTILINE)
+    assert sorted(name for name, _, _ in rows) == sorted(_MEASURES)
+    for name, inputs, log_valued in rows:
+        assert re.findall(r"`--([a-z]+)`", inputs) == list(_MEASURES[name].inputs), name
+        assert (log_valued == "yes") == _MEASURES[name].log_valued, name
