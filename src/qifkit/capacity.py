@@ -50,24 +50,23 @@ def bayes_capacity(channel: Channel) -> float:
     return math.log(float(channel.matrix.max(axis=0).sum()))
 
 
+def _reachable_column_extremes(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min of each reachable (not all-zero) column of C."""
+    top = C.max(axis=0)
+    reachable = top > 0.0
+    return top[reachable], C.min(axis=0)[reachable]
+
+
 def ldp_leakage(channel: Channel) -> float:
     """Worst-case max-case leakage: log max_y (max_x C / min_x C).
 
     +inf when some reachable column mixes zero and non-zero entries;
     all-zero columns are unreachable and skipped.
     """
-    C = channel.matrix
-    best = 0.0
-    for y in range(C.shape[1]):
-        col = C[:, y]
-        top = float(col.max())
-        if top == 0.0:
-            continue
-        bottom = float(col.min())
-        if bottom == 0.0:
-            return INF
-        best = max(best, top / bottom)
-    return math.log(best)
+    top, bottom = _reachable_column_extremes(channel.matrix)
+    if np.any(bottom == 0.0):
+        return INF
+    return math.log(float((top / bottom).max()))
 
 
 def renyi_ldp(channel: Channel, alpha) -> float:
@@ -291,17 +290,7 @@ def max_case_capacity_bound(channel: Channel, f: FMeanSpec) -> float:
     """
     if not has_multiplicative_inverse(f):
         raise ParameterError(f"{f.name} does not have a multiplicative inverse")
-    C = channel.matrix
-    best = -INF
-    for y in range(C.shape[1]):
-        col = C[:, y]
-        top, bottom = float(col.max()), float(col.min())
-        if top == 0.0:
-            continue
-        if f.increasing:
-            ratio = INF if bottom == 0.0 else top / bottom
-        else:
-            ratio = bottom / top
-        with np.errstate(divide="ignore", over="ignore"):
-            best = max(best, float(np.log(f.inverse(ratio))))
-    return best
+    top, bottom = _reachable_column_extremes(channel.matrix)
+    with np.errstate(divide="ignore", over="ignore"):
+        ratios = top / bottom if f.increasing else bottom / top
+        return float(np.log(f.inverse(ratios)).max())

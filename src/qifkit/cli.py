@@ -161,10 +161,14 @@ def _sha256(path: str) -> str:
 
 
 def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QIFKIT_SEED")
-    return int(env) if env else 0
+    raw = args.seed if args.seed is not None else os.environ.get("QIFKIT_SEED") or "0"
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise CliError(f"--seed/$QIFKIT_SEED must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _optimizer_config(args) -> SimplexOptimizerConfig:

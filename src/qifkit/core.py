@@ -22,19 +22,25 @@ INPUT_TOL = 1e-9
 INTERNAL_TOL = 1e-10
 
 
-def _clean_distribution(vec, what: str) -> np.ndarray:
-    arr = np.asarray(vec, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValidationError(f"{what} must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(arr)):
+def _clean_rows(values, what: str, rows: bool = False) -> np.ndarray:
+    """Check a distribution, or with ``rows`` a matrix whose rows are
+    distributions; clip, renormalize each row and return it read-only."""
+    arr = np.asarray(values, dtype=float, order="C")
+    if arr.ndim != (2 if rows else 1) or arr.size < 1:
+        shape = "2-D matrix" if rows else "1-D vector"
+        raise ValidationError(f"{what} must be a non-empty {shape}")
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains non-finite entries")
-    if np.any(arr < -INPUT_TOL):
+    if arr.min() < -INPUT_TOL:
         raise ValidationError(f"{what} has negative entries")
     arr = np.maximum(arr, 0.0)
-    total = arr.sum()
-    if abs(total - 1.0) > INPUT_TOL:
-        raise ValidationError(f"{what} sums to {total}, not 1")
-    arr = arr / total
+    sums = arr.sum(axis=-1, keepdims=True)
+    off = np.abs(sums - 1.0)
+    bad = int(off.argmax())
+    if off.flat[bad] > INPUT_TOL:
+        where = f"{what} row {bad}" if rows else what
+        raise ValidationError(f"{where} sums to {sums.flat[bad]}, not 1")
+    arr = arr / sums
     arr.flags.writeable = False
     return arr
 
@@ -46,7 +52,7 @@ class Prior:
     probs: np.ndarray
 
     def __init__(self, probs) -> None:
-        object.__setattr__(self, "probs", _clean_distribution(probs, "prior"))
+        object.__setattr__(self, "probs", _clean_rows(probs, "prior"))
 
     @property
     def dim(self) -> int:
@@ -81,21 +87,7 @@ class Channel:
     matrix: np.ndarray
 
     def __init__(self, matrix) -> None:
-        arr = np.asarray(matrix, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValidationError("channel must be a non-empty 2-D matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("channel contains non-finite entries")
-        if np.any(arr < -INPUT_TOL):
-            raise ValidationError("channel has negative entries")
-        arr = np.maximum(arr, 0.0)
-        sums = arr.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > INPUT_TOL):
-            bad = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValidationError(f"channel row {bad} sums to {sums[bad]}, not 1")
-        arr = arr / sums[:, None]
-        arr.flags.writeable = False
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", _clean_rows(matrix, "channel", rows=True))
 
     @property
     def n_inputs(self) -> int:
@@ -132,15 +124,10 @@ class Hyper:
     retained_outputs: tuple = field(default=())
 
     def __init__(self, outer, inners, retained_outputs=None) -> None:
-        out = _clean_distribution(outer, "outer distribution")
-        inn = np.asarray(inners, dtype=float)
-        if inn.ndim != 2 or inn.shape[0] != out.size:
+        out = _clean_rows(outer, "outer distribution")
+        inn = _clean_rows(inners, "inner matrix", rows=True)
+        if inn.shape[0] != out.size:
             raise ValidationError("inners must have one row per retained output")
-        rows = []
-        for i in range(inn.shape[0]):
-            rows.append(_clean_distribution(inn[i], f"inner {i}"))
-        inn = np.array(rows)
-        inn.flags.writeable = False
         if retained_outputs is None:
             retained_outputs = tuple(range(out.size))
         object.__setattr__(self, "outer", out)

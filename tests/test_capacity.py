@@ -45,6 +45,9 @@ def test_ldp_leakage_examples():
     assert ldp_leakage(ni_channel(3)) == pytest.approx(0.0, abs=1e-15)
     assert ldp_leakage(Channel.identity(2)) == math.inf
     assert ldp_leakage(bsc(0.1)) == pytest.approx(math.log(9))
+    # an all-zero column is unreachable and skipped
+    padded = Channel([[0.9, 0.0, 0.1], [0.1, 0.0, 0.9]])
+    assert ldp_leakage(padded) == pytest.approx(math.log(9))
 
 
 def test_renyi_ldp_examples():
@@ -216,6 +219,9 @@ def test_max_case_capacity_bound_examples():
     # decreasing inverse flips the ratio
     dec = f_alpha(0.5)  # forward t^-1, inverse s^-1
     assert max_case_capacity_bound(channel, dec) == pytest.approx(math.log(9))
+    padded = Channel([[0.9, 0.0, 0.1], [0.1, 0.0, 0.9]])
+    for f in (identity_fmean(), dec):
+        assert max_case_capacity_bound(padded, f) == pytest.approx(math.log(9))
 
 
 def test_max_case_bound_dominates_max_leakage(rng):

@@ -121,7 +121,7 @@ def test_seed_from_environment(files, capsys, monkeypatch):
     assert report["provenance"]["seed"] == 99
 
 
-def test_validation_errors_exit_2(files, capsys, tmp_path):
+def test_validation_errors_exit_2(files, capsys, tmp_path, monkeypatch):
     bad = tmp_path / "bad.csv"
     bad.write_text("0.7,0.2\n0.5,0.5\n")
     assert main(["compute", "bayes-capacity", "--channel", str(bad)]) == 2
@@ -149,8 +149,17 @@ def test_validation_errors_exit_2(files, capsys, tmp_path):
         ["verify", "axioms", "--instances", "0"],
         ["verify", "dual", "--instances", "0"],
         ["verify", "dual", "--instances", "-3"],
+        ["compute", "max-alpha-capacity", "--alpha", "2", "--channel", channel, "--seed", "-1"],
+        ["verify", "dual", "--instances", "5", "--seed", "-1"],
     ):
         assert main(argv) == 2, argv
+    # the provenance block reads the seed, so every compute command checks it
+    for seed in ("abc", "1.5", "-2"):
+        monkeypatch.setenv("QIFKIT_SEED", seed)
+        for measure in sorted(_MEASURES):
+            argv = ["compute", measure, "--restarts", "1", "--grid-resolution", "5"]
+            assert main(argv + sum(_full_argv(measure, files), [])) == 2, (seed, measure)
+            assert "must be a non-negative integer" in capsys.readouterr().err
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -132,3 +132,79 @@ def test_ni_channel_point_hyper():
 def test_hyper_validates_inners():
     with pytest.raises(ValidationError):
         Hyper([0.5, 0.5], [[0.9, 0.2], [0.1, 0.9]])
+
+
+
+GOOD = [0.5, 0.5]
+BAD_ROWS = {
+    "nan": [0.5, np.nan],
+    "inf": [np.inf, 0.0],
+    "negative": [1.0 + 2e-9, -2e-9],
+    "sum_off": [0.5, 0.5 + 1e-6],
+}
+TARGETS = ["prior", "channel", "outer", "inners"]
+VECTOR_TARGETS = ("prior", "outer")
+
+
+def _build(target, table):
+    if target == "prior":
+        return Prior(table)
+    if target == "channel":
+        return Channel(table)
+    if target == "outer":
+        return Hyper(table, [GOOD, GOOD])
+    return Hyper(GOOD, table)
+
+
+def _table(target, row):
+    """A table for ``target`` whose (last) distribution is ``row``."""
+    return row if target in VECTOR_TARGETS else [GOOD, row]
+
+
+def _malformed(target, kind):
+    if kind == "empty":
+        return [] if target in VECTOR_TARGETS else np.zeros((2, 0))
+    if kind == "ndim":
+        return [GOOD] if target in VECTOR_TARGETS else GOOD
+    return _table(target, BAD_ROWS[kind])
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("kind", [*BAD_ROWS, "empty", "ndim"])
+def test_one_validator_for_every_table(target, kind):
+    with pytest.raises(ValidationError):
+        _build(target, _malformed(target, kind))
+
+
+def _stored(built):
+    """The validated arrays a constructed table keeps."""
+    if isinstance(built, Prior):
+        return [built.probs]
+    if isinstance(built, Channel):
+        return [built.matrix]
+    return [built.outer, built.inners]
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_validator_renormalizes_drift_and_freezes(target):
+    for row in ([0.25 - 4e-10, 0.75 + 7e-10], [1.0 + 5e-10, -5e-10]):
+        for arr in _stored(_build(target, _table(target, row))):
+            assert arr.min() >= 0.0
+            assert np.max(np.abs(arr.sum(axis=-1) - 1.0)) <= 1e-15
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+
+def test_bad_inner_row_is_named():
+    with pytest.raises(ValidationError, match="row 1 sums to"):
+        Hyper(GOOD, [[0.9, 0.1], [0.2, 0.9]])
+
+
+def test_prior_and_channel_messages():
+    with pytest.raises(ValidationError, match="^prior sums to 1.1, not 1$"):
+        Prior([0.5, 0.6])
+    with pytest.raises(ValidationError, match="^channel row 1 sums to 0.75, not 1$"):
+        Channel([GOOD, [0.5, 0.25]])
+    with pytest.raises(ValidationError, match="^channel has negative entries$"):
+        Channel([GOOD, [1.1, -0.1]])
