@@ -119,29 +119,41 @@ def renyi_entropy(prior: Prior, alpha) -> float:
     return float(_renyi_entropies(prior.probs[None], AlphaOrder.of(alpha))[0])
 
 
+def _renyi_divergences(rows: np.ndarray, q: np.ndarray, a: AlphaOrder) -> np.ndarray:
+    """Renyi divergence D_alpha(row || q) of each row of a stack of
+    distributions (n, |X|), in nats.
+
+    For every positive order a row with mass outside the support of q gives
+    +inf; order 0 uses -log of q's mass on the row's support.
+    """
+    if rows.shape[1] != q.size:
+        raise DimensionMismatch("distributions have different alphabet sizes")
+    on = rows > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if a.branch == ZERO:
+            return -np.log(np.where(on, q, 0.0).sum(axis=1))
+        violated = (on & (q == 0.0)).any(axis=1)
+        if a.branch in (ONE, INFINITY):
+            # off the row's support the ratio reads 1: it adds 0 * log 1 to
+            # the KL sum and cannot raise the largest ratio, which is >= 1
+            ratio = np.divide(rows, q, out=np.ones_like(rows), where=on & (q > 0.0))
+            if a.branch == ONE:
+                values = (rows * np.log(ratio)).sum(axis=1)
+            else:
+                values = np.log(ratio.max(axis=1))
+        else:
+            terms = np.where(on, a.value * np.log(rows) - (a.value - 1.0) * np.log(q), -INF)
+            values = _logsumexp(terms, axis=1) / (a.value - 1.0)
+    return np.where(violated, INF, values)
+
+
 def renyi_divergence(mu: Prior, pi: Prior, alpha) -> float:
     """Renyi divergence D_alpha(mu || pi) in nats.
 
     For every positive order the result is +inf when mu puts mass outside
     the support of pi; order 0 uses -log of pi's mass on mu's support.
     """
-    if mu.dim != pi.dim:
-        raise DimensionMismatch("distributions have different alphabet sizes")
-    a = AlphaOrder.of(alpha)
-    m, p = mu.probs, pi.probs
-    on = m > 0
-    if a.branch == ZERO:
-        mass = float(p[on].sum())
-        return -math.log(mass) if mass > 0 else INF
-    if np.any(p[on] == 0.0):
-        return INF
-    mm, pp = m[on], p[on]
-    if a.branch == ONE:
-        return float((mm * np.log(mm / pp)).sum())
-    if a.branch == INFINITY:
-        return math.log(float((mm / pp).max()))
-    s = _logsumexp(a.value * np.log(mm) - (a.value - 1.0) * np.log(pp))
-    return s / (a.value - 1.0)
+    return float(_renyi_divergences(mu.probs[None], pi.probs, AlphaOrder.of(alpha))[0])
 
 
 def arimoto_conditional_entropy(hyper: Hyper, alpha) -> float:
@@ -234,9 +246,7 @@ def sibson_via_pointwise(hyper: Hyper, prior: Prior, alpha) -> float:
     the given prior.
     """
     a = AlphaOrder.of(alpha)
-    gains = np.array(
-        [renyi_divergence(hyper.inner(i), prior, a) for i in range(hyper.n_outputs)]
-    )
+    gains = _renyi_divergences(hyper.inners, prior.probs, a)
     if a.branch == ONE:
         return float((hyper.outer * gains).sum())
     if a.branch == ZERO:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha import AlphaOrder, arimoto_mi, sibson_mi, _logsumexp
+from .alpha import AlphaOrder, sibson_mi, _logsumexp
 from .core import Channel, Prior, push
 from .errors import ParameterError
 from .fmeans import FMeanSpec, has_multiplicative_inverse
@@ -102,6 +102,13 @@ def _check_ab_orders(alpha, beta: float) -> AlphaOrder:
     return a
 
 
+def _ab_coefficient(a: AlphaOrder, beta: float) -> float:
+    """The factor in front of the log-sum (or the max at beta = inf)."""
+    if math.isinf(beta):
+        return 1.0 if a.branch == "infinity" else a.value / (a.value - 1.0)
+    return (1.0 / beta) if a.branch == "infinity" else a.value / ((a.value - 1.0) * beta)
+
+
 def alpha_beta_leakage(prior: Prior, channel: Channel, alpha, beta: float) -> float:
     """Two-parameter generalized leakage of a specific prior, closed form.
 
@@ -123,12 +130,10 @@ def alpha_beta_leakage(prior: Prior, channel: Channel, alpha, beta: float) -> fl
         norm = _logsumexp(a.value * log_joint, axis=0) / a.value
         z = _logsumexp(a.value * np.log(p)) / a.value
     centered = norm - z
+    coeff = _ab_coefficient(a, beta)
     if math.isinf(beta):
-        coeff = 1.0 if a.branch == "infinity" else a.value / (a.value - 1.0)
         return coeff * float((centered - log_py).max())
-    terms = (1.0 - beta) * log_py + beta * centered
-    coeff = (1.0 / beta) if a.branch == "infinity" else a.value / ((a.value - 1.0) * beta)
-    return coeff * _logsumexp(terms)
+    return coeff * _logsumexp((1.0 - beta) * log_py + beta * centered)
 
 
 def alpha_beta_capacity_objective(channel: Channel, alpha, beta: float):
@@ -142,10 +147,9 @@ def alpha_beta_capacity_objective(channel: Channel, alpha, beta: float):
     leakage, and at alpha = beta = inf the LDP leakage.
     """
     a = _check_ab_orders(alpha, beta)
-    C = channel.matrix
+    coeff = _ab_coefficient(a, beta)
     with np.errstate(divide="ignore"):
-        log_C = np.log(C)
-    reachable = C.max(axis=0) > 0.0
+        log_C = np.log(channel.matrix)
 
     def objective(weights: np.ndarray) -> float:
         w = np.asarray(weights, dtype=float)
@@ -154,23 +158,14 @@ def alpha_beta_capacity_objective(channel: Channel, alpha, beta: float):
             mix = log_C[on].max(axis=0)
         else:
             mix = _logsumexp(np.log(w[on])[:, None] + a.value * log_C[on], axis=0) / a.value
-        best = -INF
-        for xp in range(C.shape[0]):
-            cols = reachable & ~(np.isneginf(mix))
-            if math.isinf(beta):
-                vals = mix[cols] - log_C[xp, cols]
-                coeff = 1.0 if a.branch == "infinity" else a.value / (a.value - 1.0)
-                best = max(best, coeff * float(vals.max()))
-                continue
-            if beta == 1.0:
-                terms = mix[cols]
-            else:
-                terms = (1.0 - beta) * log_C[xp, cols] + beta * mix[cols]
-            coeff = (1.0 / beta) if a.branch == "infinity" else a.value / (
-                (a.value - 1.0) * beta
-            )
-            best = max(best, coeff * _logsumexp(terms))
-        return best
+        # outputs no weighted row reaches drop out of every row's sum
+        cols = np.isfinite(mix)
+        mix, rows = mix[cols], log_C[:, cols]
+        if math.isinf(beta):
+            return coeff * float((mix - rows).max())
+        if beta == 1.0:
+            return coeff * _logsumexp(mix)
+        return coeff * float(_logsumexp((1.0 - beta) * rows + beta * mix, axis=1).max())
 
     return objective
 
@@ -245,23 +240,12 @@ def maximal_alpha_leakage(
 ):
     """Maximal order-alpha leakage: sup over priors of the alpha-leakage.
 
-    Arimoto and Sibson mutual information share this supremum, so both are
-    searched and the better certificate wins.
+    Arimoto mutual information at a prior P equals Sibson mutual
+    information at the tilted prior P^alpha / sum P^alpha, so the two share
+    this supremum; Sibson, which needs no hyper, is the one searched.
     """
     a = AlphaOrder.of(alpha)
-    dim = channel.n_inputs
-
-    def via_arimoto(p: np.ndarray) -> float:
-        return arimoto_mi(push(Prior(p), channel), a)
-
-    def via_sibson(p: np.ndarray) -> float:
-        return sibson_mi(Prior(p), channel, a)
-
-    val_a, wit_a, diag_a = sup_over_prior(via_arimoto, dim, config)
-    val_s, wit_s, diag_s = sup_over_prior(via_sibson, dim, config)
-    if val_s > val_a:
-        return val_s, wit_s, {"route": "sibson", **diag_s}
-    return val_a, wit_a, {"route": "arimoto", **diag_a}
+    return sup_over_prior(lambda p: sibson_mi(Prior(p), channel, a), channel.n_inputs, config)
 
 
 def maximal_alpha_beta_leakage(

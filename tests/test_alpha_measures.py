@@ -16,7 +16,7 @@ from qifkit.alpha import (
     sibson_via_pointwise,
 )
 from qifkit.core import Channel, Prior, ni_channel, push
-from qifkit.errors import ParameterError
+from qifkit.errors import DimensionMismatch, ParameterError
 from qifkit.simplex import simplex_grid
 
 from conftest import bsc, random_channel, random_prior
@@ -200,6 +200,45 @@ def test_sibson_via_pointwise_matches_direct(rng):
         for a in ALPHAS:
             assert sibson_via_pointwise(hyper, prior, a) == pytest.approx(
                 sibson_mi(prior, channel, a), abs=1e-9
+            )
+
+
+def test_renyi_divergence_rows_keep_each_rows_rules():
+    # pointwise leakages over a hyper's inners: one ordinary row, one with
+    # mass off the reference's support and one point mass
+    q = Prior([0.5, 0.5, 0.0])
+    rows = [Prior([0.2, 0.8, 0.0]), Prior([0.1, 0.1, 0.8]), Prior([1.0, 0.0, 0.0])]
+    expected = {
+        0.0: [0.0, 0.0, math.log(2)],
+        0.5: [-2 * math.log(math.sqrt(0.1) + math.sqrt(0.4)), math.inf, math.log(2)],
+        1.0: [0.2 * math.log(0.4) + 0.8 * math.log(1.6), math.inf, math.log(2)],
+        2.0: [math.log(0.08 + 1.28), math.inf, math.log(2)],
+        math.inf: [math.log(1.6), math.inf, math.log(2)],
+    }
+    hyper = push(Prior([0.4, 0.6, 0.0]), Channel([[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]]))
+    for a, values in expected.items():
+        for row, value in zip(rows, values):
+            assert renyi_divergence(row, q, a) == pytest.approx(value, abs=1e-12)
+            assert pointwise_alpha_leakage(q, row, a) == pytest.approx(value, abs=1e-12)
+    with pytest.raises(DimensionMismatch):
+        renyi_divergence(Prior.uniform(2), q, 2.0)
+    with pytest.raises(DimensionMismatch):
+        sibson_via_pointwise(hyper, Prior.uniform(2), 2.0)
+
+
+def test_arimoto_at_prior_is_sibson_at_tilted_prior():
+    # the identity behind searching Sibson alone for the maximal leakage
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        nx, ny = rng.integers(2, 7, size=2)
+        prior = random_prior(rng, nx)
+        channel = random_channel(rng, nx, ny)
+        hyper = push(prior, channel)
+        for a in (0.3, 0.5, 2.0, 5.0, 50.0):
+            log_w = a * np.log(prior.probs)
+            tilted = Prior(np.exp(log_w - np.logaddexp.reduce(log_w)))
+            assert arimoto_mi(hyper, a) == pytest.approx(
+                sibson_mi(tilted, channel, a), rel=1e-12, abs=1e-12
             )
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qifkit import capacity
 from qifkit.alpha import arimoto_mi, sibson_mi
 from qifkit.capacity import (
     SimplexOptimizerConfig,
@@ -137,6 +138,23 @@ def test_maximal_alpha_leakage_routes_agree(rng):
             assert val_a == pytest.approx(val_s, abs=1e-6)
 
 
+def test_maximal_alpha_leakage_is_one_sibson_search(monkeypatch, rng):
+    channel = random_channel(rng, 3, 3)
+    calls = []
+
+    def counting(objective, dim, config=None):
+        calls.append(dim)
+        return sup_over_prior(objective, dim, config)
+
+    monkeypatch.setattr(capacity, "sup_over_prior", counting)
+    for a in (0.0, 0.5, 1.0, 2.0, math.inf):
+        calls.clear()
+        value, witness, diagnostics = maximal_alpha_leakage(channel, a, FAST)
+        assert calls == [3]
+        assert "route" not in diagnostics
+        assert value == pytest.approx(sibson_mi(witness, channel, a), abs=1e-12)
+
+
 def test_maximal_alpha_leakage_infty_is_bayes_capacity(rng):
     for _ in range(3):
         channel = random_channel(rng, 3, 3)
@@ -162,6 +180,57 @@ def test_alpha_beta_capacity_objective_beta1_is_sibson(rng):
     for _ in range(20):
         p = random_prior(rng, 3)
         assert objective(p.probs) == pytest.approx(sibson_mi(p, channel, 2.0), abs=1e-9)
+
+
+def _per_row_ab_objective(C, w, alpha, beta):
+    """The reduced (alpha, beta) objective written out row by row."""
+    n_x, n_y = len(C), len(C[0])
+    mix = []
+    for y in range(n_y):
+        if math.isinf(alpha):
+            mix.append(max(C[x][y] for x in range(n_x) if w[x] > 0))
+        else:
+            mix.append(sum(w[x] * C[x][y] ** alpha for x in range(n_x)) ** (1 / alpha))
+    if math.isinf(beta):
+        coeff = 1.0 if math.isinf(alpha) else alpha / (alpha - 1)
+    else:
+        coeff = 1.0 / beta if math.isinf(alpha) else alpha / ((alpha - 1) * beta)
+    best = -math.inf
+    for row in C:
+        reached = [(c, m) for c, m in zip(row, mix) if m > 0]
+        if math.isinf(beta):
+            value = max(math.inf if c == 0 else math.log(m / c) for c, m in reached)
+        elif any(c == 0 for c, _ in reached) and beta > 1:
+            value = math.inf
+        else:
+            value = math.log(sum(c ** (1 - beta) * m ** beta for c, m in reached))
+        best = max(best, coeff * value)
+    return best
+
+
+def test_alpha_beta_capacity_objective_matches_per_row_formula(rng):
+    channels = [
+        random_channel(rng, 3, 4),
+        # a zero entry (+inf once its column is reached) and an all-zero column
+        Channel([[0.5, 0.0, 0.5], [0.2, 0.0, 0.8], [0.0, 0.0, 1.0]]),
+    ]
+    weights = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]), np.array([0.5, 0.0, 0.5])]
+    weights += [random_prior(rng, 3).probs for _ in range(4)]
+    seen_inf = False
+    for channel in channels:
+        C = channel.matrix.tolist()
+        for alpha in (2.0, math.inf):
+            for beta in (1.0, 1.5, 2.0, math.inf):
+                objective = alpha_beta_capacity_objective(channel, alpha, beta)
+                for w in weights:
+                    expected = _per_row_ab_objective(C, w, alpha, beta)
+                    got = objective(w)
+                    if math.isinf(expected):
+                        seen_inf = True
+                        assert got == expected
+                    else:
+                        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert seen_inf
 
 
 def test_classical_leakage_bounded_by_capacities(rng):
