@@ -168,6 +168,28 @@ def arimoto_mi(hyper: Hyper, alpha) -> float:
     return float(h_x[0] - h_cond[0])
 
 
+def _sibson(P: np.ndarray, C: np.ndarray, a: AlphaOrder) -> np.ndarray:
+    """Sibson mutual information of each prior in a stack (n, |X|) through
+    the channel matrix C (|X|, |Y|), in nats.  Zero prior entries drop out.
+    """
+    if a.branch == INFINITY:
+        return np.log(np.where(P[:, :, None] > 0.0, C, 0.0).max(axis=1).sum(axis=1))
+    if a.branch == ONE:
+        h_x, h_cond = _arimoto(P[:, :, None] * C, a)
+        return h_x - h_cond
+    if a.branch == ZERO:
+        # an output every secret in the support reaches makes the value
+        # exactly 0; otherwise the mass is clamped at 1 so 0 never turns -0
+        on = P > 0.0
+        reached = on.astype(float) @ (C > 0.0)
+        mass = np.minimum((P @ (C > 0.0)).max(axis=1), 1.0)
+        return np.where(reached.max(axis=1) == on.sum(axis=1), 0.0, 0.0 - np.log(mass))
+    with np.errstate(divide="ignore"):
+        terms = np.log(P)[:, :, None] + a.value * np.log(C)
+    per_output = _logsumexp(terms, axis=1) / a.value
+    return _logsumexp(per_output, axis=1) * a.value / (a.value - 1.0)
+
+
 def sibson_mi(prior: Prior, channel: Channel, alpha) -> float:
     """Sibson mutual information of order alpha, in nats.
 
@@ -178,21 +200,7 @@ def sibson_mi(prior: Prior, channel: Channel, alpha) -> float:
     """
     if prior.dim != channel.n_inputs:
         raise DimensionMismatch("prior/channel dimensions disagree")
-    a = AlphaOrder.of(alpha)
-    sup = prior.support
-    p = prior.probs[sup]
-    C = channel.matrix[sup]
-    if a.branch == INFINITY:
-        return math.log(float(C.max(axis=0).sum()))
-    if a.branch == ONE:
-        h_x, h_cond = _arimoto((p[:, None] * C)[None], a)
-        return float(h_x[0] - h_cond[0])
-    if a.branch == ZERO:
-        return -math.log(float((p @ (C > 0)).max()))
-    with np.errstate(divide="ignore"):
-        log_C = np.log(C)
-    per_output = _logsumexp(np.log(p)[:, None] + a.value * log_C, axis=0) / a.value
-    return _logsumexp(per_output) * a.value / (a.value - 1.0)
+    return float(_sibson(prior.probs[None], channel.matrix, AlphaOrder.of(alpha))[0])
 
 
 def alpha_loss(p_hat: float, alpha) -> float:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha import AlphaOrder, sibson_mi, _logsumexp
-from .core import Channel, Prior, push
+from .alpha import AlphaOrder, _logsumexp, _sibson
+from .core import Channel, Prior, _clean_rows, push
 from .errors import ParameterError
 from .fmeans import FMeanSpec, has_multiplicative_inverse
 from .simplex import dirichlet_priors, projected_ascent, simplex_grid, vertex_prior
@@ -170,59 +170,49 @@ def alpha_beta_capacity_objective(channel: Channel, alpha, beta: float):
     return objective
 
 
+class _Stacked:
+    """An objective that scores an (n, dim) stack of priors in one call."""
+
+    def __init__(self, scores) -> None:
+        self.scores = scores
+
+
 def sup_over_prior(objective, dim: int, config: SimplexOptimizerConfig | None = None):
     """Best objective value over the simplex from a union of candidate
     sources, with the witnessing prior and search diagnostics.
 
     The value is a certified lower bound on the supremum; global optimality
     is not claimed unless a closed form exists.  NaN evaluations are skipped;
-    every objective call, the ascent's included, is counted.
+    every objective call, the ascent's included, is counted.  ``objective``
+    maps one prior to a number and sees the candidates one by one in order.
     """
     cfg = config or SimplexOptimizerConfig()
     rng = np.random.default_rng(cfg.seed)
-    evaluations = 0
-    nan_count = 0
-    best_val = -INF
-    best_point = np.full(dim, 1.0 / dim)
+    evaluations = nan_count = 0
+    scores = objective.scores if isinstance(objective, _Stacked) else (
+        lambda points: np.array([float(objective(p)) for p in points]))
 
-    def counted(point: np.ndarray) -> float:
+    def counted(points: np.ndarray) -> np.ndarray:
         nonlocal evaluations, nan_count
-        evaluations += 1
-        val = float(objective(point))
-        if math.isnan(val):
-            nan_count += 1
-        return val
+        values = scores(points)
+        evaluations += len(points)
+        nan_count += int(np.isnan(values).sum())
+        return values
 
-    def consider(point: np.ndarray) -> float:
-        nonlocal best_val, best_point
-        val = counted(point)
-        if math.isnan(val):
-            return -INF
-        if val > best_val:
-            best_val = val
-            best_point = np.array(point, dtype=float)
-        return val
-
-    consider(np.full(dim, 1.0 / dim))
+    levels = [int(n) for n in cfg.vertex_epsilon_sequence] if dim >= 2 else []
+    candidates = [np.full((1, dim), 1.0 / dim)]
     if dim <= 3:
-        for row in simplex_grid(dim, cfg.grid_resolution):
-            consider(row)
-    vertex_trend: dict[int, float] = {}
-    if dim >= 2:
-        for n in cfg.vertex_epsilon_sequence:
-            level = max(
-                consider(vertex_prior(dim, corner, n)) for corner in range(dim)
-            )
-            vertex_trend[int(n)] = level
-    starts = [np.array(best_point)]
-    starts.extend(dirichlet_priors(rng, dim, cfg.restarts))
-    for s in starts:
-        val, point = projected_ascent(
-            counted,
-            s,
-            max_iterations=cfg.max_iterations,
-            tolerance=cfg.ascent_tolerance,
-        )
+        candidates.append(simplex_grid(dim, cfg.grid_resolution))
+    candidates += [[vertex_prior(dim, corner, n) for corner in range(dim)] for n in levels]
+    points = np.vstack(candidates)
+    values = np.fmax(counted(points), -INF)  # NaN candidates read as -inf
+    best = int(np.argmax(values))
+    best_val, best_point = float(values[best]), points[best]
+    vertices = values[len(points) - dim * len(levels):].reshape(-1, dim)
+    vertex_trend = {n: float(v) for n, v in zip(levels, vertices.max(axis=1))}
+    for s in [best_point, *dirichlet_priors(rng, dim, cfg.restarts)]:
+        val, point = projected_ascent(counted, s, max_iterations=cfg.max_iterations,
+                                      tolerance=cfg.ascent_tolerance)
         if val > best_val:
             best_val, best_point = val, point
     diagnostics = {
@@ -242,10 +232,12 @@ def maximal_alpha_leakage(
 
     Arimoto mutual information at a prior P equals Sibson mutual
     information at the tilted prior P^alpha / sum P^alpha, so the two share
-    this supremum; Sibson, which needs no hyper, is the one searched.
+    this supremum; Sibson, which needs no hyper, is the one searched, on
+    whole stacks of priors that pass the same checks as ``Prior``.
     """
-    a = AlphaOrder.of(alpha)
-    return sup_over_prior(lambda p: sibson_mi(Prior(p), channel, a), channel.n_inputs, config)
+    a, C = AlphaOrder.of(alpha), channel.matrix
+    stacked = _Stacked(lambda P: _sibson(_clean_rows(P, "prior", rows=True), C, a))
+    return sup_over_prior(stacked, channel.n_inputs, config)
 
 
 def maximal_alpha_beta_leakage(

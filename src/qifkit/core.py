@@ -142,13 +142,6 @@ class Hyper:
     def secret_dim(self) -> int:
         return self.inners.shape[1]
 
-    def reconstruct_prior(self) -> Prior:
-        """Average of the inners under the outer: recovers the pushed prior."""
-        return Prior(self.outer @ self.inners)
-
-    def inner(self, i: int) -> Prior:
-        return Prior(self.inners[i])
-
 
 def push(prior: Prior, channel: Channel) -> Hyper:
     """Push a prior through a channel, producing the hyper [prior, channel].

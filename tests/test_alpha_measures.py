@@ -5,6 +5,7 @@ import pytest
 
 from qifkit.alpha import (
     AlphaOrder,
+    _sibson,
     alpha_loss,
     arimoto_conditional_entropy,
     arimoto_mi,
@@ -224,6 +225,72 @@ def test_renyi_divergence_rows_keep_each_rows_rules():
         renyi_divergence(Prior.uniform(2), q, 2.0)
     with pytest.raises(DimensionMismatch):
         sibson_via_pointwise(hyper, Prior.uniform(2), 2.0)
+
+
+def sibson_of_row(p, C, a):
+    """Sibson mutual information of one prior, written out per order over
+    the secrets in the prior's support."""
+    xs = [x for x in range(len(p)) if p[x] > 0]
+    ys = range(C.shape[1])
+    if a == 0:
+        return -math.log(max(sum(p[x] for x in xs if C[x, y] > 0) for y in ys))
+    if a == 1:
+        q = [sum(p[x] * C[x, y] for x in xs) for y in ys]
+        return sum(p[x] * C[x, y] * math.log(C[x, y] / q[y])
+                   for x in xs for y in ys if C[x, y] > 0)
+    if a == math.inf:
+        return math.log(sum(max(C[x, y] for x in xs) for y in ys))
+    total = sum(sum(p[x] * C[x, y] ** a for x in xs) ** (1 / a) for y in ys)
+    return a / (a - 1) * math.log(total)
+
+
+def test_sibson_stack_matches_per_row_closed_forms():
+    rng = np.random.default_rng(17)
+    channels = [
+        random_channel(rng, 3, 4).matrix,
+        np.array([[0.5, 0.0, 0.5, 0.0], [0.1, 0.0, 0.2, 0.7], [0.0, 0.0, 0.6, 0.4]]),
+    ]
+    stack = np.array([
+        rng.dirichlet(np.ones(3)),
+        [0.3, 0.0, 0.7],
+        [0.0, 1.0, 0.0],
+        [1.0 / 3, 1.0 / 3, 1.0 / 3],
+        [0.0, 0.25, 0.75],
+    ])
+    for C in channels:
+        for a in (0.0, 0.5, 1.0, 2.0, 50.0, math.inf):
+            values = _sibson(stack, C, AlphaOrder.of(a))
+            assert values.shape == (len(stack),)
+            for p, value in zip(stack, values):
+                assert value == pytest.approx(sibson_of_row(p, C, a), rel=1e-12, abs=1e-12)
+                assert sibson_mi(Prior(p), Channel(C), a) == pytest.approx(value, rel=1e-14)
+
+
+def test_sibson_order_zero_is_exactly_zero_when_an_output_is_shared():
+    rng = np.random.default_rng(31)
+    channels = [bsc(0.1), random_channel(rng, 3, 3), random_channel(rng, 4, 4)]
+    for channel in channels:
+        n = channel.n_inputs
+        priors = [Prior.uniform(n), Prior.point_mass(n - 1, n)]
+        priors += [random_prior(rng, n) for _ in range(20)]
+        for prior in priors:
+            value = sibson_mi(prior, channel, 0)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    # rounded masses land on either side of 1: (0.2, 0.7, 0.1) sums above
+    # it, the grid's own (0.2, 0.7, 0.1) below it
+    uniform = Channel(np.full((3, 3), 1 / 3))
+    for p in [[0.2, 0.7, 0.1], *simplex_grid(3, 10)]:
+        value = sibson_mi(Prior(p), uniform, 0)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    # no shared output, but the rounded mass on the first output exceeds 1
+    tail = Channel([[1.0, 0.0]] * 4 + [[0.0, 1.0]])
+    p = [0.2831414698192896, 0.25363779231894, 0.2027279133539111, 0.2604928245078594, 1e-300]
+    value = sibson_mi(Prior(p), tail, 0)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    # no shared output: -log of the largest mass on one output's reach
+    split = Channel([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    assert sibson_mi(Prior([0.2, 0.3, 0.5]), split, 0) == pytest.approx(-math.log(0.8))
+    assert sibson_mi(Prior.uniform(2), Channel.identity(2), 0) == pytest.approx(math.log(2))
 
 
 def test_arimoto_at_prior_is_sibson_at_tilted_prior():

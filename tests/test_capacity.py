@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qifkit import capacity
-from qifkit.alpha import arimoto_mi, sibson_mi
+from qifkit.alpha import AlphaOrder, _sibson, arimoto_mi, sibson_mi
 from qifkit.capacity import (
     SimplexOptimizerConfig,
     alpha_beta_capacity_objective,
@@ -18,8 +18,9 @@ from qifkit.capacity import (
     renyi_ldp,
     sup_over_prior,
 )
-from qifkit.core import Channel, Prior, ni_channel, push
-from qifkit.errors import ParameterError
+from qifkit.cli import main
+from qifkit.core import Channel, Prior, _clean_rows, ni_channel, push
+from qifkit.errors import ParameterError, ValidationError
 from qifkit.fmeans import f_alpha, identity_fmean
 from qifkit.gains import FiniteMatrixGain
 from qifkit.vulnerability import (
@@ -153,6 +154,67 @@ def test_maximal_alpha_leakage_is_one_sibson_search(monkeypatch, rng):
         assert calls == [3]
         assert "route" not in diagnostics
         assert value == pytest.approx(sibson_mi(witness, channel, a), abs=1e-12)
+
+
+def test_sup_over_prior_scores_stacks_like_single_priors(rng):
+    for channel in (random_channel(rng, 3, 3), random_channel(rng, 4, 3)):
+        C = channel.matrix
+        for a in (0.5, 2.0):
+            order = AlphaOrder.of(a)
+
+            def scalar(p):
+                return math.nan if p[0] > 0.9 else sibson_mi(Prior(p), channel, a)
+
+            def stacked(P):
+                values = _sibson(_clean_rows(P, "prior", rows=True), C, order)
+                return np.where(P[:, 0] > 0.9, math.nan, values)
+
+            one = sup_over_prior(scalar, channel.n_inputs, FAST)
+            many = sup_over_prior(capacity._Stacked(stacked), channel.n_inputs, FAST)
+            assert one[0] == pytest.approx(many[0], abs=1e-12)
+            assert np.allclose(one[1].probs, many[1].probs, rtol=0.0, atol=1e-12)
+            for key in ("evaluations", "nan_evaluations"):
+                assert one[2][key] == many[2][key]
+            assert one[2]["nan_evaluations"] > 0
+            assert one[2]["vertex_trend"].keys() == many[2]["vertex_trend"].keys()
+
+
+def test_maximal_alpha_leakage_objective_validates_each_stack(monkeypatch, rng):
+    channel = random_channel(rng, 3, 3)
+    seen = []
+
+    def keep(objective, dim, config=None):
+        seen.append(objective)
+        return sup_over_prior(objective, dim, config)
+
+    monkeypatch.setattr(capacity, "sup_over_prior", keep)
+    maximal_alpha_leakage(channel, 2.0, FAST)
+    score = seen[0].scores
+    good = np.array([[0.2, 0.3, 0.5], [0.0, 1.0, 0.0]])
+    assert np.allclose(score(good), [sibson_mi(Prior(p), channel, 2.0) for p in good])
+    for bad in ([math.nan, 0.5, 0.5], [-0.01, 0.51, 0.5], [0.2, 0.3, 0.5 + 1e-6]):
+        with pytest.raises(ValidationError):
+            Prior(bad)
+        with pytest.raises(ValidationError):
+            score(np.array([[0.2, 0.3, 0.5], bad]))
+
+
+def test_order_zero_capacity_is_exactly_zero_with_a_shared_output(rng, tmp_path):
+    channels = [bsc(0.1), random_channel(rng, 3, 3), random_channel(rng, 4, 4)]
+    for k, channel in enumerate(channels):
+        for prior in (Prior.uniform(channel.n_inputs), random_prior(rng, channel.n_inputs)):
+            value = sibson_mi(prior, channel, 0)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        value, _, _ = maximal_alpha_leakage(channel, 0.0, FAST)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        path = tmp_path / f"channel{k}.csv"
+        path.write_text("\n".join(",".join(repr(float(v)) for v in row)
+                                   for row in channel.matrix) + "\n")
+        out = tmp_path / f"report{k}.json"
+        argv = ["compute", "max-alpha-capacity", "--alpha", "0", "--channel", str(path),
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text().endswith('"value": 0.0\n}\n')
 
 
 def test_maximal_alpha_leakage_infty_is_bayes_capacity(rng):
