@@ -138,10 +138,6 @@ class Hyper:
     def n_outputs(self) -> int:
         return self.outer.size
 
-    @property
-    def secret_dim(self) -> int:
-        return self.inners.shape[1]
-
 
 def push(prior: Prior, channel: Channel) -> Hyper:
     """Push a prior through a channel, producing the hyper [prior, channel].

@@ -261,20 +261,6 @@ def verify_dual_formulas(n_instances: int = 200, seed: int = 0) -> list[Verifica
     ]
 
 
-def _leakage_of_joint(joint: np.ndarray, gain: GainSpec, f: FMeanSpec, h: FMeanSpec) -> float:
-    """Generalized multiplicative leakage of the system described by a
-    joint (|U|, |Y|) matrix, through the public vulnerability API."""
-    p_u = joint.sum(axis=1)
-    keep = p_u > 0.0
-    prior = Prior(p_u[keep])
-    channel = Channel(joint[keep] / p_u[keep, None])
-    hyper = push(prior, channel)
-    return leakage(
-        gen_prior_vulnerability(prior, gain, f),
-        gen_posterior_vulnerability_avg(hyper, gain, f, h),
-    )
-
-
 def verify_maximal_equals_capacity(
     channel: Channel,
     gain: GainSpec,
@@ -293,7 +279,9 @@ def verify_maximal_equals_capacity(
     The enumeration side must stay within ``agreement_tolerance`` of the
     optimizer side (both are grid-limited) and must never exceed it beyond
     1e-9.  ``max_violation`` is the excess over those two allowances, so the
-    configured tolerance is 0; a non-finite enumerated leakage makes it +inf.
+    configured tolerance is 0.  A non-finite leakage of any candidate
+    system, deterministic map or stochastic draw alike, is counted in
+    ``non_finite_values`` and makes ``max_violation`` +inf.
     """
     cfg = config or SimplexOptimizerConfig(grid_resolution=100)
     n_x, u_max = sizes
@@ -301,6 +289,8 @@ def verify_maximal_equals_capacity(
         raise ParameterError("sizes[0] must match the channel input count")
     if n_x > 3 or not 2 <= u_max <= 4:
         raise ParameterError("enumeration is feasible only for |X| <= 3, 2 <= |U| <= 4")
+    if n_stochastic < 0:
+        raise ParameterError("n_stochastic must be non-negative")
     if not isinstance(gain, (IdentityGain, SimplexGain)):
         raise ParameterError("the equivalence check needs an alphabet-generic gain")
     classical = f.is_affine and h.is_affine
@@ -322,31 +312,42 @@ def verify_maximal_equals_capacity(
     # Bayes multiplicative leakage is the Arimoto information of order inf
     order = AlphaOrder.of(math.inf if classical else f.alpha)
 
+    # the stochastic side channels, drawn n_u, pi, conditional per draw; each
+    # conditional is zero-padded to u_max symbols of U that never occur
+    rng = np.random.default_rng(cfg.seed)
+    n_us = []
+    pis = np.empty((n_stochastic, n_x))
+    conditionals = np.zeros((n_stochastic, n_x, u_max))
+    for k in range(n_stochastic):
+        n_us.append(int(rng.integers(2, u_max + 1)))
+        pis[k] = rng.dirichlet(np.ones(n_x))
+        conditionals[k, :, : n_us[k]] = rng.dirichlet(np.ones(n_us[k]), size=n_x)
+
+    # each system pairs a stack of priors over X with conditionals P(U | X)
+    # and gives the witness of its row i: the deterministic maps one at a
+    # time (all at once would take ~40 MB at resolution 100), then the draws
+    systems = [
+        (priors, np.eye(u_max)[None, list(m)],
+         lambda i, m=list(m): {"map": m, "prior": priors[i].tolist()})
+        for m in product(range(u_max), repeat=n_x)
+    ]
+    if n_stochastic:
+        systems.append((pis, conditionals, lambda i: {
+            "stochastic_prior": pis[i].tolist(),
+            "conditional": conditionals[i, :, : n_us[i]].tolist(),
+        }))
+
     lhs = -math.inf
     lhs_witness: dict = {}
     non_finite = 0
-    for assignment in product(range(u_max), repeat=n_x):
-        member = np.zeros((n_x, u_max))
-        for x, u in enumerate(assignment):
-            member[x, u] = 1.0
-        joints = np.einsum("nx,xu,xy->nuy", priors, member, C)
-        h_u, h_cond = _arimoto(joints, order)
+    for P, K, witness in systems:
+        h_u, h_cond = _arimoto(np.einsum("nx,nxu,xy->nuy", P, K, C), order)
         values = h_u - h_cond
         non_finite += int(np.count_nonzero(~np.isfinite(values)))
         best = int(np.argmax(values))
         if values[best] > lhs:
             lhs = float(values[best])
-            lhs_witness = {"map": list(assignment), "prior": priors[best].tolist()}
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(n_stochastic):
-        n_u = int(rng.integers(2, u_max + 1))
-        pi = rng.dirichlet(np.ones(n_x))
-        conditional = rng.dirichlet(np.ones(n_u), size=n_x)
-        joint = np.einsum("x,xu,xy->uy", pi, conditional, C)
-        value = _leakage_of_joint(joint, gain, f, h)
-        if value > lhs:
-            lhs = value
-            lhs_witness = {"stochastic_prior": pi.tolist(), "conditional": conditional.tolist()}
+            lhs_witness = witness(best)
 
     if classical:
         rhs = bayes_capacity(channel)

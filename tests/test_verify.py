@@ -13,13 +13,13 @@ from qifkit.verify import (
     AXIOMS,
     MeasureFamily,
     VerificationResult,
-    _leakage_of_joint,
     alpha_family,
     classical_family,
     run_axiom_suite,
     verify_dual_formulas,
     verify_maximal_equals_capacity,
 )
+from qifkit.vulnerability import gen_posterior_vulnerability_avg, gen_prior_vulnerability, leakage
 
 from conftest import bsc, random_channel
 
@@ -118,6 +118,24 @@ def test_equivalence_check_preconditions():
         verify_maximal_equals_capacity(
             channel, SimplexGain(), f_alpha(2.0), ell_alpha(2.0), (2, 4), CFG
         )
+    with pytest.raises(ParameterError):
+        # a negative draw count used to shrink instances_checked instead
+        verify_maximal_equals_capacity(
+            channel, SimplexGain(), f_alpha(2.0), f_alpha(2.0), (2, 4), CFG, n_stochastic=-5
+        )
+
+
+def _api_leakage(joint, gain, f):
+    """Generalized multiplicative leakage of the system with joint (|U|, |Y|),
+    through the public vulnerability API; never-occurring symbols of U drop."""
+    p_u = joint.sum(axis=1)
+    keep = p_u > 0.0
+    prior = Prior(p_u[keep])
+    hyper = push(prior, Channel(joint[keep] / p_u[keep, None]))
+    return leakage(
+        gen_prior_vulnerability(prior, gain, f),
+        gen_posterior_vulnerability_avg(hyper, gain, f, f),
+    )
 
 
 def test_batch_leakage_matches_api(rng):
@@ -135,8 +153,24 @@ def test_batch_leakage_matches_api(rng):
             gain, f = SimplexGain(), f_alpha(alpha)
         for joint in joints:
             h_u, h_cond = _arimoto(joint[None], AlphaOrder.of(alpha))
-            api = _leakage_of_joint(joint, gain, f, f)
+            api = _api_leakage(joint, gain, f)
             assert h_u[0] - h_cond[0] == pytest.approx(api, abs=1e-10)
+
+
+def test_equivalence_check_scores_the_stochastic_draws():
+    # on this Z-channel a stochastic side channel beats every deterministic
+    # map over the one-step grid, so dropping the draws changes the witness
+    channel = Channel([[1.0, 0.0], [0.95, 0.05]])
+    f = f_alpha(5.0)
+    config = SimplexOptimizerConfig(grid_resolution=1, restarts=2, seed=0)
+    result = verify_maximal_equals_capacity(channel, SimplexGain(), f, f, (2, 4), config)
+    assert result.passed
+    witness = result.worst_instance["lhs_witness"]
+    assert set(witness) == {"stochastic_prior", "conditional"}
+    pi, conditional = np.array(witness["stochastic_prior"]), np.array(witness["conditional"])
+    joint = np.einsum("x,xu,xy->uy", pi, conditional, channel.matrix)
+    api = _api_leakage(joint, SimplexGain(), f)
+    assert result.worst_instance["lhs"] == pytest.approx(api, abs=1e-12)
 
 
 def test_batch_kernel_matches_scalar_api(rng):
