@@ -62,6 +62,7 @@ from .vulnerability import (
 )
 
 TOOL = f"qifkit {__version__}"
+_FMEAN_FORMS = "identity | alpha:A | ab:A,B | power:P"
 
 
 class CliError(Exception):
@@ -150,7 +151,7 @@ def _parse_fmean(spec: str) -> FMeanSpec:
         if p >= 1.0 or p == 0.0:
             raise CliError("power exponent must be nonzero and < 1 (or use identity)")
         return f_alpha(1.0 / (1.0 - p))
-    raise CliError(f"unknown f-mean spec {spec!r} (identity | alpha:A | ab:A,B | power:P)")
+    raise CliError(f"unknown f-mean spec {spec!r} ({_FMEAN_FORMS})")
 
 
 def _sha256(path: str) -> str:
@@ -444,23 +445,24 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--gain", help="gain: CSV file, 'identity' or 'simplex'")
     comp.add_argument("--alpha", help="order alpha (number or 'inf')")
     comp.add_argument("--beta", help="order beta (number or 'inf')")
-    comp.add_argument("--f", help="f-mean: identity | alpha:A | power:P")
-    comp.add_argument("--hmean", help="posterior mean h (defaults to f)")
+    comp.add_argument("--f", help=f"f-mean: {_FMEAN_FORMS}")
+    comp.add_argument("--hmean", help=f"posterior mean h, defaults to f: {_FMEAN_FORMS}")
     comp.add_argument("--max-case", action="store_true", help="max-case capacity bound")
     comp.add_argument("--bits", action="store_true", help="report in bits")
     comp.set_defaults(func=_compute)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("suite", choices=sorted(_SUITES))
-    ver.add_argument("--instances", type=int, default=1000)
+    ver.add_argument("--instances", type=int, default=1000,
+                     help="random instances per check; equivalence ignores it")
     ver.add_argument("--channel", help="channel CSV for equivalence")
-    ver.add_argument("--u-max", type=int, default=4)
+    ver.add_argument("--u-max", type=int, default=4, help="largest |U| for equivalence, 2..4")
     ver.set_defaults(func=_verify)
 
     for p in (comp, ver):
         p.add_argument("--seed", type=int, default=None, help="defaults to $QIFKIT_SEED")
-        p.add_argument("--restarts", type=int, default=12)
-        p.add_argument("--grid-resolution", type=int, default=60)
+        p.add_argument("--restarts", type=int, default=12, help="restarts of a capacity search")
+        p.add_argument("--grid-resolution", type=int, default=60, help="prior-grid steps per unit")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
     return parser
 

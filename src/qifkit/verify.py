@@ -276,12 +276,14 @@ def verify_maximal_equals_capacity(
     stochastic side channel into U) equals the sup-over-prior capacity of
     the original channel.
 
-    The enumeration side must stay within ``agreement_tolerance`` of the
-    optimizer side (both are grid-limited) and must never exceed it beyond
-    1e-9.  ``max_violation`` is the excess over those two allowances, so the
-    configured tolerance is 0.  A non-finite leakage of any candidate
-    system, deterministic map or stochastic draw alike, is counted in
-    ``non_finite_values`` and makes ``max_violation`` +inf.
+    Relabeling U changes no leakage, so one map per partition of X is
+    scored: ``instances_checked`` counts the (prior, map) systems covered,
+    ``systems_scored`` the rows computed, and a witness ``map`` is its
+    partition's representative.  The enumeration side must stay within
+    ``agreement_tolerance`` of the optimizer side (both grid-limited) and
+    never exceed it beyond 1e-9; ``max_violation`` is the excess over those
+    allowances, so the tolerance is 0.  A non-finite leakage of any system,
+    map or draw alike, counts in ``non_finite_values`` and makes it +inf.
     """
     cfg = config or SimplexOptimizerConfig(grid_resolution=100)
     n_x, u_max = sizes
@@ -323,31 +325,26 @@ def verify_maximal_equals_capacity(
         pis[k] = rng.dirichlet(np.ones(n_x))
         conditionals[k, :, : n_us[k]] = rng.dirichlet(np.ones(n_us[k]), size=n_x)
 
-    # each system pairs a stack of priors over X with conditionals P(U | X)
-    # and gives the witness of its row i: the deterministic maps one at a
-    # time (all at once would take ~40 MB at resolution 100), then the draws
-    systems = [
-        (priors, np.eye(u_max)[None, list(m)],
-         lambda i, m=list(m): {"map": m, "prior": priors[i].tolist()})
-        for m in product(range(u_max), repeat=n_x)
-    ]
-    if n_stochastic:
-        systems.append((pis, conditionals, lambda i: {
-            "stochastic_prior": pis[i].tolist(),
-            "conditional": conditionals[i, :, : n_us[i]].tolist(),
-        }))
-
-    lhs = -math.inf
-    lhs_witness: dict = {}
-    non_finite = 0
-    for P, K, witness in systems:
-        h_u, h_cond = _arimoto(np.einsum("nx,nxu,xy->nuy", P, K, C), order)
-        values = h_u - h_cond
-        non_finite += int(np.count_nonzero(~np.isfinite(values)))
-        best = int(np.argmax(values))
-        if values[best] > lhs:
-            lhs = float(values[best])
-            lhs_witness = witness(best)
+    # H_alpha(U) and H_alpha(U | Y) ignore labels: the restricted-growth
+    # strings, one per partition, each its first labeling in product order.
+    # One stack scores them map-major over the priors, then the draws
+    maps = [m for m in product(range(u_max), repeat=n_x)
+            if all(m[i] <= 1 + max(m[:i], default=-1) for i in range(n_x))]
+    mapped = np.einsum("nx,mxu,xy->mnuy", priors, np.eye(u_max)[maps], C)
+    joints = np.concatenate([mapped.reshape(-1, u_max, channel.n_outputs),
+                             np.einsum("nx,nxu,xy->nuy", pis, conditionals, C)])
+    h_u, h_cond = _arimoto(joints, order)
+    values = np.fmax(h_u - h_cond, -math.inf)  # a NaN loses to every number
+    non_finite = int(np.count_nonzero(~np.isfinite(values)))
+    best = int(np.argmax(values))
+    lhs = float(values[best])
+    m, i = divmod(best, len(priors))
+    if m < len(maps):
+        lhs_witness = {"map": list(maps[m]), "prior": priors[i].tolist()}
+    else:
+        k = best - len(maps) * len(priors)
+        lhs_witness = {"stochastic_prior": pis[k].tolist(),
+                       "conditional": conditionals[k, :, : n_us[k]].tolist()}
 
     if classical:
         rhs = bayes_capacity(channel)
@@ -373,6 +370,7 @@ def verify_maximal_equals_capacity(
             "rhs_route": rhs_route,
             "structural_excess": structural_excess,
             "non_finite_values": non_finite,
+            "systems_scored": joints.shape[0],
             "lhs_witness": lhs_witness,
         },
     )

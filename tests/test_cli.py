@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qifkit.cli import _MEASURES, main
+from qifkit.cli import _MEASURES, CliError, _parse_fmean, main
 from qifkit.verify import VerificationResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -205,6 +205,28 @@ def test_verify_equivalence_cli(files, capsys):
     )
     assert code == 0
     assert report["all_passed"] is True
+    # 52 priors (51 grid points and the uniform one) and 40 draws: every map
+    # is covered, one per partition of the 2 secrets is scored
+    for result in report["results"]:
+        assert result["instances_checked"] == 52 * 16 + 40
+        assert result["worst_instance"]["systems_scored"] == 52 * 2 + 40
+
+
+def test_compute_help_names_every_f_mean_form(capsys):
+    forms = {
+        "identity": "identity", "alpha:A": "alpha:2", "ab:A,B": "ab:2,3", "power:P": "power:0.5",
+    }
+    for example in forms.values():
+        _parse_fmean(example)
+    with pytest.raises(CliError) as rejected:
+        _parse_fmean("beta:2")
+    with pytest.raises(SystemExit):
+        main(["compute", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    # the --f and --hmean help run up to the next flag
+    helps = [text.rsplit(flag, 1)[1].split(" --", 1)[0] for flag in ("--f F", "--hmean HMEAN")]
+    for named in [str(rejected.value)] + helps:
+        assert all(form in named for form in forms), named
 
 
 def test_verify_failure_exits_3(files, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qifkit.core import Channel, Prior, push
 from qifkit.errors import ParameterError
 from qifkit.fmeans import custom_fmean, ell_alpha, f_alpha, identity_fmean
 from qifkit.gains import FiniteMatrixGain, IdentityGain, SimplexGain
+from qifkit.simplex import simplex_grid
 from qifkit.verify import (
     AXIOMS,
     MeasureFamily,
@@ -99,6 +101,41 @@ def test_equivalence_check_random_3x3(rng):
     f2 = f_alpha(2.0)
     result = verify_maximal_equals_capacity(channel, SimplexGain(), f2, f2, (3, 4), CFG)
     assert result.passed
+
+
+def test_equivalence_check_one_map_per_partition_reaches_the_all_maps_maximum():
+    # relabeling U leaves a map's leakage unchanged, so the check scores one
+    # map per set partition of X; the maximum over every map, scored one at
+    # a time here, must be the same
+    config = SimplexOptimizerConfig(restarts=1, grid_resolution=4, seed=3)
+    rng = np.random.default_rng(23)
+    for n_x in (2, 3):
+        channel = random_channel(rng, n_x, n_x)
+        # the grid's vertices and edges give priors with zero entries
+        priors = np.vstack([simplex_grid(n_x, 4), np.full((1, n_x), 1.0 / n_x)])
+        for u_max, (gain, f) in product(
+            (2, 3, 4), ((IdentityGain(), identity_fmean()), (SimplexGain(), f_alpha(2.0)))
+        ):
+            order = AlphaOrder.of(math.inf if isinstance(gain, IdentityGain) else 2.0)
+            every_map = -math.inf
+            for m in product(range(u_max), repeat=n_x):
+                joints = np.einsum("nx,xu,xy->nuy", priors, np.eye(u_max)[list(m)], channel.matrix)
+                h_u, h_cond = _arimoto(joints, order)
+                every_map = max(every_map, float(np.max(h_u - h_cond)))
+            result = verify_maximal_equals_capacity(
+                channel, gain, f, f, (n_x, u_max), config, n_stochastic=0
+            )
+            info = result.worst_instance
+            assert info["lhs"] == pytest.approx(every_map, abs=1e-14)
+            witness = info["lhs_witness"]["map"]
+            assert all(witness[i] <= 1 + max(witness[:i], default=-1) for i in range(n_x))
+            prior = np.array(info["lhs_witness"]["prior"])
+            joint = np.einsum("x,xu,xy->uy", prior, np.eye(u_max)[witness], channel.matrix)
+            h_u, h_cond = _arimoto(joint[None], order)
+            assert h_u[0] - h_cond[0] == pytest.approx(info["lhs"], abs=1e-14)
+            partitions = {2: 2, 3: 4 if u_max == 2 else 5}[n_x]
+            assert info["systems_scored"] == len(priors) * partitions
+            assert result.instances_checked == len(priors) * u_max**n_x
 
 
 def test_equivalence_check_preconditions():
