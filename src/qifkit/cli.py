@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -399,30 +400,25 @@ def _equivalence(args, files: dict) -> list:
     ]
 
 
-_SUITES = {"axioms": _axioms, "dual": _dual, "equivalence": _equivalence}
-
-
-def _result_dict(result) -> dict:
-    return {
-        "theorem_id": result.theorem_id,
-        "instances_checked": result.instances_checked,
-        "max_violation": result.max_violation,
-        "tolerance": result.tolerance,
-        "passed": result.passed,
-        "worst_instance": result.worst_instance,
-    }
+# each suite with the options that set its results, which its report records
+_SUITES = {
+    "axioms": (_axioms, ("instances",)),
+    "dual": (_dual, ("instances",)),
+    "equivalence": (_equivalence, ("grid_resolution", "restarts", "u_max")),
+}
 
 
 def _verify(args) -> int:
     files: dict = {}
-    results = _SUITES[args.suite](args, files)
+    run, params = _SUITES[args.suite]
+    results = run(args, files)
     all_passed = all(r.passed for r in results)
     report = {
         "schema": 1,
         "command": f"verify-{args.suite}",
-        "results": [_result_dict(r) for r in results],
+        "results": [dataclasses.asdict(r) for r in results],
         "all_passed": all_passed,
-        "params": {"instances": args.instances},
+        "params": {name: getattr(args, name) for name in params},
         "provenance": _provenance(args, files),
     }
     _emit(report, args.out)

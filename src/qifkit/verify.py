@@ -330,19 +330,21 @@ def verify_maximal_equals_capacity(
     # One stack scores them map-major over the priors, then the draws
     maps = [m for m in product(range(u_max), repeat=n_x)
             if all(m[i] <= 1 + max(m[:i], default=-1) for i in range(n_x))]
-    mapped = np.einsum("nx,mxu,xy->mnuy", priors, np.eye(u_max)[maps], C)
-    joints = np.concatenate([mapped.reshape(-1, u_max, channel.n_outputs),
-                             np.einsum("nx,nxu,xy->nuy", pis, conditionals, C)])
+    split = len(maps) * len(priors)
+    joints = np.empty((split + n_stochastic, u_max, channel.n_outputs))
+    np.einsum("nx,mxu,xy->mnuy", priors, np.eye(u_max)[maps], C,
+              out=joints[:split].reshape(len(maps), len(priors), u_max, -1))
+    np.einsum("nx,nxu,xy->nuy", pis, conditionals, C, out=joints[split:])
     h_u, h_cond = _arimoto(joints, order)
     values = np.fmax(h_u - h_cond, -math.inf)  # a NaN loses to every number
     non_finite = int(np.count_nonzero(~np.isfinite(values)))
     best = int(np.argmax(values))
     lhs = float(values[best])
-    m, i = divmod(best, len(priors))
-    if m < len(maps):
+    if best < split:
+        m, i = divmod(best, len(priors))
         lhs_witness = {"map": list(maps[m]), "prior": priors[i].tolist()}
     else:
-        k = best - len(maps) * len(priors)
+        k = best - split
         lhs_witness = {"stochastic_prior": pis[k].tolist(),
                        "conditional": conditionals[k, :, : n_us[k]].tolist()}
 

@@ -193,6 +193,7 @@ def test_verify_dual_cli(files, capsys):
     assert code == 0
     assert report["all_passed"] is True
     assert len(report["results"]) == 4
+    assert report["params"] == {"instances": 20}
 
 
 def test_verify_equivalence_cli(files, capsys):
@@ -205,6 +206,8 @@ def test_verify_equivalence_cli(files, capsys):
     )
     assert code == 0
     assert report["all_passed"] is True
+    # the options that set the result, not the ignored --instances
+    assert report["params"] == {"grid_resolution": 50, "restarts": 12, "u_max": 4}
     # 52 priors (51 grid points and the uniform one) and 40 draws: every map
     # is covered, one per partition of the 2 secrets is scored
     for result in report["results"]:
