@@ -67,7 +67,8 @@ def _logsumexp(values: np.ndarray, axis: int | None = None):
     m = v.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
-        return np.log(np.exp(v - m).sum(axis=axis)) + np.squeeze(m, axis)
+        shifted = v - m
+        return np.log(np.exp(shifted, out=shifted).sum(axis=axis)) + np.squeeze(m, axis)
 
 
 def _shannon(p: np.ndarray) -> np.ndarray:
@@ -105,7 +106,8 @@ def _arimoto(joints: np.ndarray, a: AlphaOrder) -> tuple[np.ndarray, np.ndarray]
         return h_x, -np.log(joints.max(axis=1).sum(axis=1))
     with np.errstate(divide="ignore"):
         log_j = np.log(joints)
-    log_norms = _logsumexp(a.value * log_j, axis=1) / a.value
+    log_j *= a.value
+    log_norms = _logsumexp(log_j, axis=1) / a.value
     return h_x, _logsumexp(log_norms, axis=1) * a.value / (1.0 - a.value)
 
 

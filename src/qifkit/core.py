@@ -139,6 +139,29 @@ class Hyper:
         return self.outer.size
 
 
+def _push_columns(priors: np.ndarray, columns: np.ndarray, widths) -> tuple:
+    """Push a stack of hypers at once: hyper i pushes priors[i] (n, |X|)
+    through the channel whose matrix is the next widths[i] columns of the
+    side-by-side matrices ``columns`` (|X|, m).
+
+    Each hyper drops its zero-mass outputs and must reconstruct its prior.
+    Returns the outer weight and cleaned inner row of every retained output,
+    the hyper each one belongs to, and the keep mask over the columns.
+    """
+    owner = np.repeat(np.arange(len(priors)), widths)
+    joint = columns * np.repeat(priors.T, widths, axis=1)
+    p_y = joint.sum(axis=0)
+    keep = p_y > 0.0
+    owner, p_y = owner[keep], p_y[keep]
+    inners = _clean_rows((joint[:, keep] / p_y).T, "inner matrix", rows=True)
+    outer = p_y / np.bincount(owner, weights=p_y)[owner]  # in row order, as np.sum adds few terms
+    outer.flags.writeable = False
+    starts = np.searchsorted(owner, np.arange(len(priors)))
+    if np.max(np.abs(np.add.reduceat(outer[:, None] * inners, starts) - priors)) > INTERNAL_TOL:
+        raise ValidationError("hyper reconstruction drifted beyond tolerance")
+    return outer, inners, owner, keep
+
+
 def push(prior: Prior, channel: Channel) -> Hyper:
     """Push a prior through a channel, producing the hyper [prior, channel].
 
@@ -149,15 +172,11 @@ def push(prior: Prior, channel: Channel) -> Hyper:
         raise DimensionMismatch(
             f"prior has {prior.dim} symbols but channel has {channel.n_inputs} rows"
         )
-    joint = prior.probs[:, None] * channel.matrix
-    p_y = joint.sum(axis=0)
-    keep = np.flatnonzero(p_y > 0.0)
-    outer = p_y[keep]
-    inners = (joint[:, keep] / outer).T
-    hyper = Hyper(outer, inners, retained_outputs=tuple(int(k) for k in keep))
-    recon = hyper.outer @ hyper.inners
-    if np.max(np.abs(recon - prior.probs)) > INTERNAL_TOL:
-        raise ValidationError("hyper reconstruction drifted beyond tolerance")
+    outer, inners, _, keep = _push_columns(prior.probs[None], channel.matrix, [channel.n_outputs])
+    hyper = object.__new__(Hyper)  # the stacked push has cleaned both tables
+    object.__setattr__(hyper, "outer", outer)
+    object.__setattr__(hyper, "inners", inners)
+    object.__setattr__(hyper, "retained_outputs", tuple(np.flatnonzero(keep).tolist()))
     return hyper
 
 

@@ -1,14 +1,17 @@
+import importlib
 import math
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qifkit import verify
 from qifkit.alpha import AlphaOrder, _arimoto, arimoto_mi
 from qifkit.capacity import SimplexOptimizerConfig
-from qifkit.core import Channel, Prior, push
+from qifkit.core import Channel, Prior, compose, ni_channel, push
 from qifkit.errors import ParameterError
-from qifkit.fmeans import custom_fmean, ell_alpha, f_alpha, identity_fmean
+from qifkit.fmeans import FMeanSpec, custom_fmean, ell_alpha, f_alpha, identity_fmean
 from qifkit.gains import FiniteMatrixGain, IdentityGain, SimplexGain
 from qifkit.simplex import simplex_grid
 from qifkit.verify import (
@@ -21,7 +24,12 @@ from qifkit.verify import (
     verify_dual_formulas,
     verify_maximal_equals_capacity,
 )
-from qifkit.vulnerability import gen_posterior_vulnerability_avg, gen_prior_vulnerability, leakage
+from qifkit.vulnerability import (
+    gen_posterior_vulnerability_avg,
+    gen_posterior_vulnerability_max,
+    gen_prior_vulnerability,
+    leakage,
+)
 
 from conftest import bsc, random_channel
 
@@ -230,3 +238,165 @@ def test_equivalence_check_high_order_regression():
     assert result.passed
     assert result.worst_instance["non_finite_values"] == 0
     assert result.worst_instance["lhs"] == pytest.approx(result.worst_instance["rhs"], abs=1e-6)
+
+
+def reference_axiom_suite(family, n_instances, seed, tolerance=1e-9, axioms=AXIOMS):
+    """The suite one instance at a time: a Prior, Channels and three pushed
+    Hypers per draw, each scored by the public vulnerability functions."""
+    rng = np.random.default_rng(seed)
+    worst = {ax: (0.0, {}) for ax in axioms}
+    for idx in range(n_instances):
+        nx = int(rng.integers(2, 5))
+        ny = int(rng.integers(2, 5))
+        nz = int(rng.integers(2, 5))
+        prior = Prior(rng.dirichlet(np.ones(nx)))
+        channel = Channel(rng.dirichlet(np.ones(ny), size=nx))
+        post_channel = Channel(rng.dirichlet(np.ones(nz), size=ny))
+        if family.gain == "finite_random":
+            n_actions = int(rng.integers(2, 5))
+            gain = FiniteMatrixGain(rng.uniform(0.0, 2.0, size=(n_actions, nx)))
+        else:
+            gain = {"identity": IdentityGain(), "simplex": SimplexGain()}[family.gain]
+        f, h = family.f, family.h
+        enforce = family.enforce_h_class
+
+        v_prior = gen_prior_vulnerability(prior, gain, f)
+        hyper = push(prior, channel)
+        post_avg = gen_posterior_vulnerability_avg(hyper, gain, f, h, enforce)
+        post_max = gen_posterior_vulnerability_max(hyper, gain, f)
+        hyper_ref = push(prior, compose(channel, post_channel))
+        post_avg_ref = gen_posterior_vulnerability_avg(hyper_ref, gain, f, h, enforce)
+        post_max_ref = gen_posterior_vulnerability_max(hyper_ref, gain, f)
+        point_hyper = push(prior, ni_channel(nx))
+        ni_avg = gen_posterior_vulnerability_avg(point_hyper, gain, f, h, enforce)
+        ni_max = gen_posterior_vulnerability_max(point_hyper, gain, f)
+
+        mixture_k = int(rng.integers(2, 4))
+        parts = [Prior(rng.dirichlet(np.ones(nx))) for _ in range(mixture_k)]
+        weights = rng.dirichlet(np.ones(mixture_k))
+        mixed = Prior(sum(w * p.probs for w, p in zip(weights, parts)))
+        v_mixed = gen_prior_vulnerability(mixed, gain, f)
+        v_parts = [gen_prior_vulnerability(p, gain, f) for p in parts]
+
+        values = {
+            "NI": max(abs(ni_avg - v_prior), abs(ni_max - v_prior)),
+            "MONO": max(0.0, v_prior - post_avg),
+            "DPI_AVG": max(0.0, post_avg_ref - post_avg),
+            "DPI_MAX": max(0.0, post_max_ref - post_max),
+            "CVX": max(0.0, v_mixed - float(np.dot(weights, v_parts))),
+            "QCVX": max(0.0, v_mixed - max(v_parts)),
+            "AVG_LE_MAX": max(0.0, post_avg - post_max),
+        }
+        for ax in axioms:
+            if values[ax] > worst[ax][0]:
+                worst[ax] = (
+                    values[ax],
+                    {
+                        "instance": idx,
+                        "prior": prior.probs.tolist(),
+                        "channel": channel.matrix.tolist(),
+                        "refinement": post_channel.matrix.tolist(),
+                    },
+                )
+    return [
+        VerificationResult(
+            theorem_id=f"axiom:{ax}:{family.name}",
+            instances_checked=n_instances,
+            max_violation=worst[ax][0],
+            tolerance=tolerance,
+            worst_instance=worst[ax][1],
+        )
+        for ax in axioms
+    ]
+
+
+def _reciprocal_h():
+    return custom_fmean(
+        lambda t: 1.0 / np.asarray(t, dtype=float),
+        lambda s: 1.0 / np.asarray(s, dtype=float),
+        "decreasing",
+        "convex",
+        domain=(1e-9, math.inf),
+        name="reciprocal",
+    )
+
+
+def _finite_random_families():
+    ident = identity_fmean()
+    return [MeasureFamily("classical-finite_random", ident, ident, "finite_random")] + [
+        alpha_family(a, "finite_random") for a in (0.5, 2.0, math.inf)
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_axiom_suite_matches_the_per_instance_reference(seed):
+    # the stacked suite against the same draws scored one instance at a time;
+    # below 1e-12 rounding may pick a different witness
+    control = MeasureFamily(
+        "corrupted-h", identity_fmean(), _reciprocal_h(), "identity", enforce_h_class=False
+    )
+    families = [classical_family()] + [alpha_family(a) for a in (0.5, 2.0, math.inf)]
+    for family in families + [control] + _finite_random_families():
+        expected = reference_axiom_suite(family, 1000, seed)
+        for got, want in zip(run_axiom_suite(family, 1000, seed), expected, strict=True):
+            assert got.theorem_id == want.theorem_id
+            assert got.passed == want.passed, got.theorem_id
+            assert got.instances_checked == want.instances_checked
+            assert abs(got.max_violation - want.max_violation) <= 1e-12, got.theorem_id
+            if want.max_violation > 1e-12:
+                assert got.worst_instance == want.worst_instance, got.theorem_id
+
+
+def test_axiom_suites_pass_with_finite_random_gains():
+    for family in _finite_random_families():
+        results = run_axiom_suite(family, n_instances=300, seed=3)
+        assert all(r.passed for r in results), family.name
+        assert max(r.max_violation for r in results) <= 1e-12
+
+
+def test_axiom_suite_fails_a_nan_violation():
+    # every posterior average is NaN; NaN used to lose every comparison and
+    # pass as a violation of 0
+    nan_h = FMeanSpec(
+        "nan-inverse",
+        lambda t: np.asarray(t, dtype=float),
+        lambda s: np.full(np.shape(s), math.nan),
+        "increasing",
+        "convex",
+    )
+    family = MeasureFamily("nan-h", identity_fmean(), nan_h, "identity", enforce_h_class=False)
+    results = {r.theorem_id.split(":")[1]: r for r in run_axiom_suite(family, 20, seed=4)}
+    for ax in ("NI", "MONO", "DPI_AVG", "AVG_LE_MAX"):
+        assert not results[ax].passed
+        assert results[ax].max_violation == math.inf
+        assert results[ax].worst_instance["instance"] == 0
+    for ax in ("DPI_MAX", "CVX", "QCVX"):
+        assert results[ax].passed
+
+
+def test_dual_formula_check_fails_a_nan_route(monkeypatch):
+    monkeypatch.setattr(verify, "sibson_mi", lambda *args: math.nan)
+    results = {r.theorem_id: r for r in verify_dual_formulas(n_instances=3, seed=1)}
+    nan_route = results["dual:sibson-via-pointwise"]
+    assert not nan_route.passed
+    assert nan_route.max_violation == math.inf
+    assert nan_route.worst_instance["instance"] == 0 and nan_route.worst_instance["alpha"] == 0.5
+    assert all(r.passed for r in results.values() if r is not nan_route)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_verify_ops_pass_their_own_checks(seed, tmp_path, monkeypatch):
+    # the benchmark checks its axiom and negative-control ops only after the
+    # timed phase; run each once here (the dual op is covered above)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    workloads.make_inputs("verify", seed, tmp_path)
+    ops = workloads.build_round("verify", workloads.load_inputs(tmp_path), {}, tmp_path,
+                                PERFBENCH.parent)
+    checked = [op for op in ops if op.label != "dual formulas"]
+    assert len(checked) == len(ops) - 1 == 50
+    for op in checked:
+        assert op.check(op.call()) is None, op.label
