@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Channel, Hyper, Prior
+from .core import Channel, Hyper, Prior, _check_dims
 from .errors import DimensionMismatch, ParameterError
 
 INF = math.inf
@@ -49,71 +49,70 @@ class AlphaOrder:
         return AlphaOrder(v, OPEN_UNIT if v < 1.0 else FINITE_GT1)
 
 
-def _logsumexp(values: np.ndarray, axis: int | None = None):
-    """log sum exp over all entries (a float) or along ``axis`` (an array).
-
-    -inf entries add nothing, so an all -inf slice gives -inf; any +inf
-    gives +inf and any NaN gives NaN.
-    """
+def _logsumexp(values: np.ndarray) -> float:
+    """log sum exp over all entries: -inf entries add nothing, so all -inf
+    gives -inf; any +inf gives +inf and any NaN gives NaN."""
     v = np.asarray(values, dtype=float)
-    if axis is None:
-        v = v[v != -INF]
-        if v.size == 0:
-            return -INF
-        m = float(v.max())
-        if math.isinf(m):
-            return INF
-        return m + math.log(float(np.exp(v - m).sum()))
-    m = v.max(axis=axis, keepdims=True)
+    v = v[v != -INF]
+    if v.size == 0:
+        return -INF
+    m = float(v.max())
+    if math.isinf(m):
+        return INF
+    return m + math.log(float(np.exp(v - m).sum()))
+
+
+def _logsumexp_into(scratch: np.ndarray, axis: int) -> np.ndarray:
+    """:func:`_logsumexp` of each slice along ``axis`` of a float array that it
+    overwrites: the slice maxima are subtracted, exponentiated and summed in place."""
+    m = scratch.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
-        shifted = v - m
-        return np.log(np.exp(shifted, out=shifted).sum(axis=axis)) + np.squeeze(m, axis)
+        scratch -= m
+        return np.log(np.exp(scratch, out=scratch).sum(axis=axis)) + np.squeeze(m, axis)
 
 
 def _shannon(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each row (zero entries add nothing)."""
+    """Shannon entropy along the last axis (zero entries add nothing)."""
     logs = np.log(p, out=np.zeros_like(p), where=p > 0)
-    return -(p * logs).sum(axis=-1)
+    logs *= p
+    return -logs.sum(axis=-1)
 
 
 def _renyi_entropies(P: np.ndarray, a: AlphaOrder) -> np.ndarray:
-    """Renyi entropy of each row of a stack of distributions (n, |X|)."""
+    """Renyi entropy of each distribution along the last axis of P."""
     if a.branch == ZERO:
-        return np.log((P > 0).sum(axis=1))
+        return np.log((P > 0).sum(axis=-1))
     if a.branch == ONE:
         return _shannon(P)
     if a.branch == INFINITY:
-        return -np.log(P.max(axis=1))
+        return -np.log(P.max(axis=-1))
     with np.errstate(divide="ignore"):
         log_p = np.log(P)
-    return _logsumexp(a.value * log_p, axis=1) / (1.0 - a.value)
+        log_p *= a.value
+        if a.value * math.log(P.shape[-1]) < 700.0:  # p_max^alpha >= |X|^-alpha needs no shift
+            return np.log(np.exp(log_p, out=log_p).sum(axis=-1)) / (1.0 - a.value)
+    return _logsumexp_into(log_p, -1) / (1.0 - a.value)
 
 
-def _arimoto(joints: np.ndarray, a: AlphaOrder) -> tuple[np.ndarray, np.ndarray]:
-    """H_alpha(X) and the Arimoto conditional entropy H_alpha(X | Y) of each
-    joint in a stack (n, |X|, |Y|); the Arimoto mutual information is their
-    difference.  All-zero rows and columns are allowed.
-    """
-    h_x = _renyi_entropies(joints.sum(axis=2), a)
+def _arimoto(outer: np.ndarray, inners: np.ndarray, a: AlphaOrder) -> tuple:
+    """H_alpha(X) = H_alpha(outer @ inners) and the Arimoto conditional entropy
+    of each hyper in a stack: outer weights (..., |Y|) and posterior rows
+    (..., |Y|, |X|), secret axis last, a weight-0 row all zero.  H_alpha(X | Y)
+    is the Kolmogorov-Nagumo mean of the posteriors' entropies,
+    alpha/(1-alpha) log sum_y p_y exp((1-alpha)/alpha H_alpha(X | y)): the
+    average at order 1, the largest at 0 and -log sum_y p_y max_x at inf."""
+    h_x = _renyi_entropies((outer[..., None, :] @ inners)[..., 0, :], a)
     if a.branch == ZERO:
-        return h_x, np.log((joints > 0).sum(axis=1).max(axis=1))
-    if a.branch == ONE:
-        p_y = joints.sum(axis=1, keepdims=True)
-        ratio = np.divide(joints, p_y, out=np.ones_like(joints), where=joints > 0)
-        return h_x, -(joints * np.log(ratio)).sum(axis=(1, 2))
+        return h_x, np.log((inners > 0.0).sum(axis=-1).max(axis=-1))
     if a.branch == INFINITY:
-        return h_x, -np.log(joints.max(axis=1).sum(axis=1))
+        return h_x, -np.log((outer * inners.max(axis=-1)).sum(axis=-1))
+    h_post = _renyi_entropies(inners, a)  # each row reduced in place along the secret axis
+    if a.branch == ONE:
+        return h_x, (outer * h_post).sum(axis=-1)
+    rate = (1.0 - a.value) / a.value
     with np.errstate(divide="ignore"):
-        log_j = np.log(joints)
-    log_j *= a.value
-    log_norms = _logsumexp(log_j, axis=1) / a.value
-    return h_x, _logsumexp(log_norms, axis=1) * a.value / (1.0 - a.value)
-
-
-def _hyper_joint(hyper: Hyper) -> np.ndarray:
-    """The hyper's joint p(x, y) over retained outputs, as a stack of one."""
-    return (hyper.outer[:, None] * hyper.inners).T[None]
+        return h_x, _logsumexp_into(np.log(outer) + rate * h_post, -1) / rate
 
 
 def renyi_entropy(prior: Prior, alpha) -> float:
@@ -123,11 +122,7 @@ def renyi_entropy(prior: Prior, alpha) -> float:
 
 def _renyi_divergences(rows: np.ndarray, q: np.ndarray, a: AlphaOrder) -> np.ndarray:
     """Renyi divergence D_alpha(row || q) of each row of a stack of
-    distributions (n, |X|), in nats.
-
-    For every positive order a row with mass outside the support of q gives
-    +inf; order 0 uses -log of q's mass on the row's support.
-    """
+    distributions (n, |X|), in nats, as :func:`renyi_divergence` defines it."""
     if rows.shape[1] != q.size:
         raise DimensionMismatch("distributions have different alphabet sizes")
     on = rows > 0
@@ -139,13 +134,11 @@ def _renyi_divergences(rows: np.ndarray, q: np.ndarray, a: AlphaOrder) -> np.nda
             # off the row's support the ratio reads 1: it adds 0 * log 1 to
             # the KL sum and cannot raise the largest ratio, which is >= 1
             ratio = np.divide(rows, q, out=np.ones_like(rows), where=on & (q > 0.0))
-            if a.branch == ONE:
-                values = (rows * np.log(ratio)).sum(axis=1)
-            else:
-                values = np.log(ratio.max(axis=1))
+            values = ((rows * np.log(ratio)).sum(axis=1) if a.branch == ONE
+                      else np.log(ratio.max(axis=1)))
         else:
             terms = np.where(on, a.value * np.log(rows) - (a.value - 1.0) * np.log(q), -INF)
-            values = _logsumexp(terms, axis=1) / (a.value - 1.0)
+            values = _logsumexp_into(terms, 1) / (a.value - 1.0)
     return np.where(violated, INF, values)
 
 
@@ -160,14 +153,12 @@ def renyi_divergence(mu: Prior, pi: Prior, alpha) -> float:
 
 def arimoto_conditional_entropy(hyper: Hyper, alpha) -> float:
     """Arimoto conditional entropy H_alpha(X | Y) of a hyper, in nats."""
-    _, h_cond = _arimoto(_hyper_joint(hyper), AlphaOrder.of(alpha))
-    return float(h_cond[0])
+    return float(_arimoto(hyper.outer, hyper.inners, AlphaOrder.of(alpha))[1])
 
 
 def arimoto_mi(hyper: Hyper, alpha) -> float:
     """Arimoto mutual information of order alpha: H_alpha(X) - H_alpha(X|Y)."""
-    h_x, h_cond = _arimoto(_hyper_joint(hyper), AlphaOrder.of(alpha))
-    return float(h_x[0] - h_cond[0])
+    return float(np.subtract(*_arimoto(hyper.outer, hyper.inners, AlphaOrder.of(alpha))))
 
 
 def _sibson(P: np.ndarray, C: np.ndarray, a: AlphaOrder) -> np.ndarray:
@@ -176,9 +167,8 @@ def _sibson(P: np.ndarray, C: np.ndarray, a: AlphaOrder) -> np.ndarray:
     """
     if a.branch == INFINITY:
         return np.log(np.where(P[:, :, None] > 0.0, C, 0.0).max(axis=1).sum(axis=1))
-    if a.branch == ONE:
-        h_x, h_cond = _arimoto(P[:, :, None] * C, a)
-        return h_x - h_cond
+    if a.branch == ONE:  # Shannon information is symmetric: H(Y) - H(Y | X), C's rows the inners
+        return np.subtract(*_arimoto(P, C, a))
     if a.branch == ZERO:
         # an output every secret in the support reaches makes the value
         # exactly 0; otherwise the mass is clamped at 1 so 0 never turns -0
@@ -186,10 +176,12 @@ def _sibson(P: np.ndarray, C: np.ndarray, a: AlphaOrder) -> np.ndarray:
         reached = on.astype(float) @ (C > 0.0)
         mass = np.minimum((P @ (C > 0.0)).max(axis=1), 1.0)
         return np.where(reached.max(axis=1) == on.sum(axis=1), 0.0, 0.0 - np.log(mass))
-    with np.errstate(divide="ignore"):
-        terms = np.log(P)[:, :, None] + a.value * np.log(C)
-    per_output = _logsumexp(terms, axis=1) / a.value
-    return _logsumexp(per_output, axis=1) * a.value / (a.value - 1.0)
+    with np.errstate(divide="ignore"):  # log pi_x + alpha log C_xy, one scratch per prior
+        terms = np.log(C, out=np.empty((len(P),) + C.shape))
+        terms *= a.value
+        terms += np.log(P)[:, :, None]
+    per_output = _logsumexp_into(terms, -2) / a.value  # over x, in place
+    return _logsumexp_into(per_output, -1) * a.value / (a.value - 1.0)
 
 
 def sibson_mi(prior: Prior, channel: Channel, alpha) -> float:
@@ -200,8 +192,7 @@ def sibson_mi(prior: Prior, channel: Channel, alpha) -> float:
     mutual information; order 0 is the continuous limit
     -log max_y pi(supp(posterior_y)).
     """
-    if prior.dim != channel.n_inputs:
-        raise DimensionMismatch("prior/channel dimensions disagree")
+    _check_dims(prior, channel)
     return float(_sibson(prior.probs[None], channel.matrix, AlphaOrder.of(alpha))[0])
 
 
@@ -237,9 +228,8 @@ def min_expected_alpha_loss(prior: Prior, alpha) -> tuple[float, Prior]:
     entropy = renyi_entropy(prior, a)
     coeff = a.value / (a.value - 1.0)
     value = coeff * (1.0 - math.exp((1.0 - a.value) / a.value * entropy))
-    log_p = np.full(prior.dim, -INF)
-    sup = prior.support
-    log_p[sup] = a.value * np.log(prior.probs[sup])
+    with np.errstate(divide="ignore"):
+        log_p = a.value * np.log(prior.probs)
     tilted = np.exp(log_p - _logsumexp(log_p))
     return value, Prior(tilted)
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha import AlphaOrder, _logsumexp, _sibson
-from .core import Channel, Prior, _clean_rows, push
+from .alpha import AlphaOrder, _logsumexp, _logsumexp_into, _sibson
+from .core import Channel, Prior, _check_dims, _clean_rows
 from .errors import ParameterError
 from .fmeans import FMeanSpec, has_multiplicative_inverse
 from .simplex import dirichlet_priors, projected_ascent, simplex_grid, vertex_prior
@@ -116,20 +116,21 @@ def alpha_beta_leakage(prior: Prior, channel: Channel, alpha, beta: float) -> fl
     infinities are dedicated max-branches rather than large exponents.
     """
     a = _check_ab_orders(alpha, beta)
-    hyper = push(prior, channel)
-    sup = prior.support
-    p = prior.probs[sup]
-    C = channel.matrix[sup][:, list(hyper.retained_outputs)]
-    log_py = np.log(hyper.outer)
-    with np.errstate(divide="ignore"):
-        log_joint = np.log(p)[:, None] + np.log(C)
+    _check_dims(prior, channel)
+    p_y = prior.probs @ channel.matrix
+    keep = p_y > 0.0
+    log_py = np.log(p_y[keep])
+    with np.errstate(divide="ignore"):  # zero prior entries and unreachable outputs give -inf
+        log_p, log_joint = np.log(prior.probs), np.log(channel.matrix)
+    log_joint += log_p[:, None]
     if a.branch == "infinity":
         norm = log_joint.max(axis=0)            # log max_x pi_x C_{x,y}
-        z = float(np.log(p.max()))
+        z = float(log_p.max())
     else:
-        norm = _logsumexp(a.value * log_joint, axis=0) / a.value
-        z = _logsumexp(a.value * np.log(p)) / a.value
-    centered = norm - z
+        log_joint *= a.value
+        norm = _logsumexp_into(log_joint, 0) / a.value
+        z = _logsumexp(a.value * log_p) / a.value
+    centered = norm[keep] - z
     coeff = _ab_coefficient(a, beta)
     if math.isinf(beta):
         return coeff * float((centered - log_py).max())
@@ -157,7 +158,7 @@ def alpha_beta_capacity_objective(channel: Channel, alpha, beta: float):
         if a.branch == "infinity":
             mix = log_C[on].max(axis=0)
         else:
-            mix = _logsumexp(np.log(w[on])[:, None] + a.value * log_C[on], axis=0) / a.value
+            mix = _logsumexp_into(np.log(w[on])[:, None] + a.value * log_C[on], 0) / a.value
         # outputs no weighted row reaches drop out of every row's sum
         cols = np.isfinite(mix)
         mix, rows = mix[cols], log_C[:, cols]
@@ -165,7 +166,7 @@ def alpha_beta_capacity_objective(channel: Channel, alpha, beta: float):
             return coeff * float((mix - rows).max())
         if beta == 1.0:
             return coeff * _logsumexp(mix)
-        return coeff * float(_logsumexp((1.0 - beta) * rows + beta * mix, axis=1).max())
+        return coeff * float(_logsumexp_into((1.0 - beta) * rows + beta * mix, 1).max())
 
     return objective
 

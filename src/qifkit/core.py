@@ -145,21 +145,30 @@ def _push_columns(priors: np.ndarray, columns: np.ndarray, widths) -> tuple:
     side-by-side matrices ``columns`` (|X|, m).
 
     Each hyper drops its zero-mass outputs and must reconstruct its prior.
-    Returns the outer weight and cleaned inner row of every retained output,
+    Returns the outer weight and C-ordered inner row of every retained output,
     the hyper each one belongs to, and the keep mask over the columns.
     """
     owner = np.repeat(np.arange(len(priors)), widths)
-    joint = columns * np.repeat(priors.T, widths, axis=1)
-    p_y = joint.sum(axis=0)
-    keep = p_y > 0.0
-    owner, p_y = owner[keep], p_y[keep]
-    inners = _clean_rows((joint[:, keep] / p_y).T, "inner matrix", rows=True)
+    joint = np.empty((owner.size, priors.shape[1]))
+    np.copyto(joint, columns.T)  # row y: column y, then p(y, .) once scaled by its prior
+    joint *= priors if len(priors) == 1 else priors[owner]
+    p_y = joint.sum(axis=1)
+    if not (keep := p_y > 0.0).all():
+        joint, owner, p_y = joint[keep], owner[keep], p_y[keep]
+    joint *= (1.0 / p_y)[:, None]  # a product is cheaper than a quotient
     outer = p_y / np.bincount(owner, weights=p_y)[owner]  # in row order, as np.sum adds few terms
-    outer.flags.writeable = False
-    starts = np.searchsorted(owner, np.arange(len(priors)))
-    if np.max(np.abs(np.add.reduceat(outer[:, None] * inners, starts) - priors)) > INTERNAL_TOL:
+    joint.flags.writeable = outer.flags.writeable = False
+    starts = np.searchsorted(owner, np.arange(len(priors)))  # one hyper: one BLAS product
+    rebuilt = outer @ joint if len(priors) == 1 else np.add.reduceat(outer[:, None] * joint, starts)
+    if np.max(np.abs(rebuilt - priors)) > INTERNAL_TOL:
         raise ValidationError("hyper reconstruction drifted beyond tolerance")
-    return outer, inners, owner, keep
+    return outer, joint, owner, keep
+
+
+def _check_dims(prior: Prior, channel: Channel) -> None:
+    if prior.dim != channel.n_inputs:
+        raise DimensionMismatch(f"prior has {prior.dim} symbols but channel has "
+                                f"{channel.n_inputs} rows")
 
 
 def push(prior: Prior, channel: Channel) -> Hyper:
@@ -168,12 +177,9 @@ def push(prior: Prior, channel: Channel) -> Hyper:
     Outer weights are p(y) = sum_x pi_x C[x, y]; each inner is the Bayes
     posterior over X given y.  Outputs with p(y) = 0 are removed.
     """
-    if prior.dim != channel.n_inputs:
-        raise DimensionMismatch(
-            f"prior has {prior.dim} symbols but channel has {channel.n_inputs} rows"
-        )
+    _check_dims(prior, channel)
     outer, inners, _, keep = _push_columns(prior.probs[None], channel.matrix, [channel.n_outputs])
-    hyper = object.__new__(Hyper)  # the stacked push has cleaned both tables
+    hyper = object.__new__(Hyper)  # the stacked push has built both tables
     object.__setattr__(hyper, "outer", outer)
     object.__setattr__(hyper, "inners", inners)
     object.__setattr__(hyper, "retained_outputs", tuple(np.flatnonzero(keep).tolist()))

@@ -331,11 +331,13 @@ def verify_maximal_equals_capacity(
     maps = [m for m in product(range(u_max), repeat=n_x)
             if all(m[i] <= 1 + max(m[:i], default=-1) for i in range(n_x))]
     split = len(maps) * len(priors)
-    joints = np.empty((split + n_stochastic, u_max, channel.n_outputs))
-    np.einsum("nx,mxu,xy->mnuy", priors, np.eye(u_max)[maps], C,
-              out=joints[:split].reshape(len(maps), len(priors), u_max, -1))
-    np.einsum("nx,nxu,xy->nuy", pis, conditionals, C, out=joints[split:])
-    h_u, h_cond = _arimoto(joints, order)
+    joints = np.empty((split + n_stochastic, channel.n_outputs, u_max))  # rows p(y, .)
+    np.einsum("nx,mxu,xy->mnyu", priors, np.eye(u_max)[maps], C,
+              out=joints[:split].reshape(len(maps), len(priors), -1, u_max))
+    np.einsum("nx,nxu,xy->nyu", pis, conditionals, C, out=joints[split:])
+    p_y = joints.sum(axis=2)
+    np.divide(joints, p_y[:, :, None], out=joints, where=p_y[:, :, None] > 0.0)  # posteriors
+    h_u, h_cond = _arimoto(p_y, joints, order)
     values = np.fmax(h_u - h_cond, -math.inf)  # a NaN loses to every number
     non_finite = int(np.count_nonzero(~np.isfinite(values)))
     best = int(np.argmax(values))

@@ -16,6 +16,7 @@ from qifkit.alpha import (
     sibson_mi,
     sibson_via_pointwise,
 )
+from qifkit.capacity import alpha_beta_leakage
 from qifkit.core import Channel, Prior, ni_channel, push
 from qifkit.errors import DimensionMismatch, ParameterError
 from qifkit.simplex import simplex_grid
@@ -319,3 +320,86 @@ def test_branch_continuity_spot():
         sibson_mi(prior, channel, 0.9999), abs=1e-2
     )
     assert arimoto_mi(hyper, math.inf) == pytest.approx(arimoto_mi(hyper, 1e6), abs=1e-3)
+
+
+def _linear_closed_forms(p, C, a):
+    """H_a(X | Y), the Arimoto and the Sibson information of prior p through
+    C in plain power sums over the joint J = p C, for orders 0, 0.5, 1, 2
+    and inf."""
+    J = p[:, None] * C
+    p_y = J.sum(axis=0)
+    on, reached = p > 0, p_y > 0
+    if a == 0.0:
+        h_x = math.log(on.sum())
+        h_cond = math.log((J > 0).sum(axis=0).max())
+        shared = (C[on] > 0).all(axis=0).any()
+        mass = max(p[C[:, y] > 0].sum() for y in range(C.shape[1]))
+        sibson = 0.0 if shared else -math.log(min(mass, 1.0))
+    elif a == 1.0:
+        h_x = -(p[on] * np.log(p[on])).sum()
+        post = J[:, reached] / p_y[reached]
+        h_cond = -(J[:, reached][post > 0] * np.log(post[post > 0])).sum()
+        sibson = h_x - h_cond
+    elif a == math.inf:
+        h_x = -math.log(p.max())
+        h_cond = -math.log(J.max(axis=0).sum())
+        sibson = math.log(C[on].max(axis=0).sum())
+    else:
+        h_x = math.log((p[on] ** a).sum()) / (1.0 - a)
+        h_cond = a / (1.0 - a) * math.log((((J**a).sum(axis=0)) ** (1.0 / a)).sum())
+        inner = (p[on, None] * C[on] ** a).sum(axis=0) ** (1.0 / a)
+        sibson = a / (a - 1.0) * math.log(inner.sum())
+    return h_cond, h_x - h_cond, sibson
+
+
+def _linear_alpha_beta(p, C, a, beta):
+    """a/((a-1) beta) log sum_y p_y^(1-beta) (||J_y||_a / ||p||_a)^beta over
+    reached outputs; at a = inf the norms are maxima and the factor 1/beta."""
+    J = p[:, None] * C
+    p_y = J.sum(axis=0)
+    reached = p_y > 0
+    if a == math.inf:
+        ratio, coeff = J[:, reached].max(axis=0) / p.max(), 1.0 / beta
+    else:
+        norms = ((J[:, reached] ** a).sum(axis=0)) ** (1.0 / a)
+        ratio, coeff = norms / (p**a).sum() ** (1.0 / a), a / ((a - 1.0) * beta)
+    return coeff * math.log((p_y[reached] ** (1.0 - beta) * ratio**beta).sum())
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_large_channel_kernels_match_linear_closed_forms(n):
+    rng = np.random.default_rng(n)
+    p = rng.dirichlet(np.ones(n))
+    p[1] = 0.0
+    C = rng.dirichlet(np.ones(n), size=n)
+    C[:, 2] = 0.0
+    prior = Prior(p / p.sum())
+    channel = Channel(C / C.sum(axis=1, keepdims=True))
+    p, C = prior.probs, channel.matrix
+    hyper = push(prior, channel)
+    J = p[:, None] * C
+    p_y = J.sum(axis=0)
+    assert hyper.retained_outputs == tuple(np.flatnonzero(p_y > 0))
+    np.testing.assert_allclose(hyper.outer, p_y[p_y > 0], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(hyper.inners, (J[:, p_y > 0] / p_y[p_y > 0]).T, rtol=1e-12, atol=0)
+    for a in (0.0, 0.5, 1.0, 2.0, math.inf):
+        h_cond, arimoto, sibson = _linear_closed_forms(p, C, a)
+        assert arimoto_conditional_entropy(hyper, a) == pytest.approx(h_cond, rel=1e-12, abs=0)
+        assert arimoto_mi(hyper, a) == pytest.approx(arimoto, rel=1e-12, abs=0)
+        assert sibson_mi(prior, channel, a) == pytest.approx(sibson, rel=1e-12, abs=0)
+    for a, beta in ((2.0, 1.0), (2.0, 2.0), (5.0, 3.0), (math.inf, 2.0)):
+        assert alpha_beta_leakage(prior, channel, a, beta) == pytest.approx(
+            _linear_alpha_beta(p, C, a, beta), rel=1e-12, abs=0
+        )
+    # order 1e6 has no closed form in plain powers (they underflow); it stays
+    # finite and within 1e-4 of the infinity branch
+    near = (
+        (arimoto_conditional_entropy, (hyper,)), (arimoto_mi, (hyper,)),
+        (sibson_mi, (prior, channel)),
+    )
+    for measure, args in near:
+        value = measure(*args, 1e6)
+        assert math.isfinite(value) and value == pytest.approx(measure(*args, math.inf), abs=1e-4)
+    value = alpha_beta_leakage(prior, channel, 1e6, 2.0)
+    assert math.isfinite(value)
+    assert value == pytest.approx(alpha_beta_leakage(prior, channel, math.inf, 2.0), abs=1e-4)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from qifkit.alpha import AlphaOrder, _arimoto, arimoto_mi, sibson_mi
+from qifkit.alpha import AlphaOrder, arimoto_mi, sibson_mi
 from qifkit.core import Channel, Prior, push
+
+from conftest import joint_arimoto
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -58,6 +60,6 @@ def test_relabeling_a_map_leaves_its_leakage_unchanged(case):
         for m in (labels, permutation[labels])
     ])
     for alpha in (0.0, 0.5, 1.0, 2.0, 5.0, math.inf):
-        h_u, h_cond = _arimoto(joints, AlphaOrder.of(alpha))
+        h_u, h_cond = joint_arimoto(joints, AlphaOrder.of(alpha))
         leak = h_u - h_cond
         assert leak[1] == pytest.approx(leak[0], abs=1e-12)

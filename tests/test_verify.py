@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 from itertools import product
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from qifkit import verify
-from qifkit.alpha import AlphaOrder, _arimoto, arimoto_mi
+from qifkit.alpha import AlphaOrder, arimoto_mi
 from qifkit.capacity import SimplexOptimizerConfig
 from qifkit.core import Channel, Prior, compose, ni_channel, push
 from qifkit.errors import ParameterError
@@ -31,7 +32,7 @@ from qifkit.vulnerability import (
     leakage,
 )
 
-from conftest import bsc, random_channel
+from conftest import bsc, joint_arimoto, random_channel
 
 CFG = SimplexOptimizerConfig(restarts=6, grid_resolution=50, seed=11)
 
@@ -128,7 +129,7 @@ def test_equivalence_check_one_map_per_partition_reaches_the_all_maps_maximum():
             every_map = -math.inf
             for m in product(range(u_max), repeat=n_x):
                 joints = np.einsum("nx,xu,xy->nuy", priors, np.eye(u_max)[list(m)], channel.matrix)
-                h_u, h_cond = _arimoto(joints, order)
+                h_u, h_cond = joint_arimoto(joints, order)
                 every_map = max(every_map, float(np.max(h_u - h_cond)))
             result = verify_maximal_equals_capacity(
                 channel, gain, f, f, (n_x, u_max), config, n_stochastic=0
@@ -139,7 +140,7 @@ def test_equivalence_check_one_map_per_partition_reaches_the_all_maps_maximum():
             assert all(witness[i] <= 1 + max(witness[:i], default=-1) for i in range(n_x))
             prior = np.array(info["lhs_witness"]["prior"])
             joint = np.einsum("x,xu,xy->uy", prior, np.eye(u_max)[witness], channel.matrix)
-            h_u, h_cond = _arimoto(joint[None], order)
+            h_u, h_cond = joint_arimoto(joint[None], order)
             assert h_u[0] - h_cond[0] == pytest.approx(info["lhs"], abs=1e-14)
             partitions = {2: 2, 3: 4 if u_max == 2 else 5}[n_x]
             assert info["systems_scored"] == len(priors) * partitions
@@ -197,7 +198,7 @@ def test_batch_leakage_matches_api(rng):
         else:
             gain, f = SimplexGain(), f_alpha(alpha)
         for joint in joints:
-            h_u, h_cond = _arimoto(joint[None], AlphaOrder.of(alpha))
+            h_u, h_cond = joint_arimoto(joint[None], AlphaOrder.of(alpha))
             api = _api_leakage(joint, gain, f)
             assert h_u[0] - h_cond[0] == pytest.approx(api, abs=1e-10)
 
@@ -223,7 +224,7 @@ def test_batch_kernel_matches_scalar_api(rng):
     channel = random_channel(rng, 3, 4)
     joints = priors[:, :, None] * channel.matrix[None]
     for alpha in (0.0, 0.5, 1.0, 2.0, 1e4, math.inf):
-        h_u, h_cond = _arimoto(joints, AlphaOrder.of(alpha))
+        h_u, h_cond = joint_arimoto(joints, AlphaOrder.of(alpha))
         for p, value in zip(priors, h_u - h_cond):
             scalar = arimoto_mi(push(Prior(p), channel), alpha)
             assert value == pytest.approx(scalar, abs=1e-10)
@@ -387,16 +388,42 @@ def test_dual_formula_check_fails_a_nan_route(monkeypatch):
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def _benchmark_round(workload, seed, tmp_path, monkeypatch):
+    """One round of a benchmark workload's ops, built from its seeded inputs
+    in ``tmp_path`` as the benchmark builds it; reads ``perfbench/`` only."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    spec = json.loads((PERFBENCH / "spec.json").read_text())
+    workloads.make_inputs(workload, seed, tmp_path)
+    return workloads.build_round(workload, workloads.load_inputs(tmp_path), spec, tmp_path,
+                                 PERFBENCH.parent)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_benchmark_verify_ops_pass_their_own_checks(seed, tmp_path, monkeypatch):
     # the benchmark checks its axiom and negative-control ops only after the
     # timed phase; run each once here (the dual op is covered above)
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    workloads = importlib.import_module("workloads")
-    workloads.make_inputs("verify", seed, tmp_path)
-    ops = workloads.build_round("verify", workloads.load_inputs(tmp_path), {}, tmp_path,
-                                PERFBENCH.parent)
+    ops = _benchmark_round("verify", seed, tmp_path, monkeypatch)
     checked = [op for op in ops if op.label != "dual formulas"]
     assert len(checked) == len(ops) - 1 == 50
     for op in checked:
+        assert op.check(op.call()) is None, op.label
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_capacity_ops_pass_their_own_checks(seed, tmp_path, monkeypatch):
+    # searches against the independent Renyi-radius bound, the (2, 2)
+    # capacity against Renyi LDP and the maximal-leakage = capacity checks
+    ops = _benchmark_round("capacity", seed, tmp_path, monkeypatch)
+    assert len(ops) == 39
+    for op in ops:
+        assert op.check(op.call()) is None, op.label
+
+
+def test_benchmark_measures_ops_pass_their_own_checks(tmp_path, monkeypatch):
+    # every closed form at |X| = 4..256 against perfbench/reference.py; one
+    # seed, since the round's renyi_ldp pair loop takes about 2 s
+    ops = _benchmark_round("measures", 1, tmp_path, monkeypatch)
+    assert len(ops) == 64
+    for op in ops:
         assert op.check(op.call()) is None, op.label
