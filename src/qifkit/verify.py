@@ -18,10 +18,10 @@ import numpy as np
 from .alpha import AlphaOrder, _arimoto, alpha_loss, arimoto_mi, min_expected_alpha_loss
 from .alpha import sibson_mi, sibson_via_pointwise
 from .capacity import SimplexOptimizerConfig, alpha_beta_leakage, bayes_capacity, maximal_alpha_leakage
-from .core import Channel, Prior, _clean_rows, _push_columns, ni_channel, push
+from .core import Channel, Prior, _clean_rows, _push_columns, push
 from .errors import ParameterError
 from .fmeans import FMeanSpec, FMeanValidityWarning, f_alpha, fmeans_equal, h_alpha_beta, identity_fmean
-from .gains import FiniteMatrixGain, GainSpec, IdentityGain, SimplexGain
+from .gains import GainSpec, IdentityGain, SimplexGain
 from .simplex import simplex_grid
 from .vulnerability import (
     _gen_values,
@@ -76,19 +76,6 @@ def alpha_family(alpha: float, gain: str = "simplex") -> MeasureFamily:
     return MeasureFamily(f"alpha[{alpha:g}]-{gain}", f, f, gain)
 
 
-def _clean_tables(instances: list) -> list:
-    """Clean each instance's distributions and row-stochastic matrices as
-    Prior and Channel do, with one row-wise check per row width."""
-    flat = [np.atleast_2d(t) for tables in instances for t in tables]
-    for width in {t.shape[1] for t in flat}:
-        picked = [i for i, t in enumerate(flat) if t.shape[1] == width]
-        stack = _clean_rows(np.concatenate([flat[i] for i in picked]), "drawn table", rows=True)
-        for i, end in zip(picked, np.cumsum([len(flat[i]) for i in picked])):
-            flat[i] = stack[end - len(flat[i]):end]
-    cleaned = iter(flat)
-    return [[next(cleaned).reshape(t.shape) for t in tables] for tables in instances]
-
-
 def run_axiom_suite(
     family: MeasureFamily,
     n_instances: int = 1000,
@@ -100,54 +87,65 @@ def run_axiom_suite(
     gain) draws: point-hyper equality, monotonicity, the two data-processing
     inequalities, prior convexity and quasi-convexity, and avg <= max.
 
-    Every instance is drawn first, then scored in one stack per secret width
-    and gain.  A non-finite violation counts as +inf.
+    Every instance is drawn first into zero-padded stacks of 4 secrets,
+    outputs and actions; a padded secret has no prior mass, so it never
+    weighs in, and the suite is scored as one stack.  A non-finite violation
+    counts as +inf.
     """
     if n_instances < 1:
         raise ParameterError("a suite over no instances would pass vacuously")
+    if not axioms or any(ax not in AXIOMS for ax in axioms):
+        raise ParameterError(f"axioms must be one or more of AXIOMS {AXIOMS}, got {axioms!r}")
     shared = {"identity": IdentityGain(), "simplex": SimplexGain(), "finite_random": None}
     if family.gain not in shared:
         raise ParameterError(f"unknown gain kind {family.gain!r}")
-    rng = np.random.default_rng(seed)
-    ones = [np.ones(n) for n in range(5)]
-    gains, drawn, weights = [], [], []
-    for _ in range(n_instances):
-        nx, ny, nz = (int(rng.integers(2, 5)) for _ in range(3))
-        tables = [rng.dirichlet(ones[nx]), rng.dirichlet(ones[ny], size=nx),
-                  rng.dirichlet(ones[nz], size=ny)]
-        gains.append(shared[family.gain] or FiniteMatrixGain(
-            rng.uniform(0.0, 2.0, size=(int(rng.integers(2, 5)), nx))))
-        drawn.append(tables + [rng.dirichlet(ones[nx]) for _ in range(int(rng.integers(2, 4)))])
-        weights.append(rng.dirichlet(ones[len(drawn[-1]) - 3]))
-    # per instance: prior, channel, refinement, parts; then composed, mixed
-    drawn = _clean_tables(drawn)
-    derived = _clean_tables([(t[1] @ t[2], sum(wk * p for wk, p in zip(w, t[3:])))
-                             for t, w in zip(drawn, weights)])
-    groups = {}
-    for i, tables in enumerate(drawn):
-        groups.setdefault((tables[0].size, id(gains[i])), []).append(i)
+    gain, rng, n, pad = shared[family.gain], np.random.default_rng(seed), n_instances, np.arange(4)
+    ones = [np.ones(k) for k in range(5)]
+    # per instance: prior, 4 channel rows, 4 refinement rows, 3 parts, as drawn
+    tables, weights, gains = np.zeros((n, 12, 4)), np.zeros((n, 3)), np.empty((n, 4, 4))
+    sizes = np.empty((4, n), dtype=int)  # nx, ny, nz, parts
+    for i, t in enumerate(tables):
+        nx, ny, nz = sizes[:3, i] = [int(rng.integers(2, 5)) for _ in range(3)]
+        t[0, :nx] = rng.dirichlet(ones[nx])
+        t[1:1 + nx, :ny] = rng.dirichlet(ones[ny], size=nx)
+        t[5:5 + ny, :nz] = rng.dirichlet(ones[nz], size=ny)
+        if gain is None:  # the padding repeats a drawn action row and secret column
+            g = rng.uniform(0.0, 2.0, size=(int(rng.integers(2, 5)), nx))
+            gains[i] = g[np.minimum(pad, len(g) - 1)][:, np.minimum(pad, nx - 1)]
+        sizes[3, i] = k = int(rng.integers(2, 4))
+        for j in range(k):
+            t[9 + j, :nx] = rng.dirichlet(ones[nx])
+        weights[i, :k] = rng.dirichlet(ones[k])
+    one, (nx, ny, _, k) = np.ones((n, 1), dtype=bool), sizes[:, :, None] > pad  # drawn rows
+    drawn, parts = np.hstack([one, nx, ny, k[:, :3]]), k[:, :3]
+    tables[drawn] = _clean_rows(tables[drawn], "drawn table", rows=True)
+    # then each instance's composed channel and mixed prior
+    derived = np.concatenate([tables[:, 1:5] @ tables[:, 5:9],
+                              (weights[:, :, None] * tables[:, 9:]).sum(axis=1)[:, None]], axis=1)
+    drawn = np.hstack([nx, one])
+    derived[drawn] = _clean_rows(derived[drawn], "drawn table", rows=True)
 
-    violations = np.empty((len(AXIOMS), n_instances))
-    for (nx, _), members in groups.items():
-        gain, m, f = gains[members[0]], len(members), family.f
-        priors = np.array([drawn[i][0] for i in members])
-        parts = [p for i in members for p in drawn[i][3:]]
-        v = _gen_values(np.vstack([priors, [derived[i][1] for i in members], parts]), gain, f)
-        v_prior, v_mixed, v_parts = v[:m], v[m:2 * m], v[2 * m:]
-        owner = np.repeat(np.arange(m), [len(drawn[i]) - 3 for i in members])
-        dot = np.bincount(owner, weights=np.concatenate([weights[i] for i in members]) * v_parts)
-        top = np.maximum.reduceat(v_parts, np.searchsorted(owner, np.arange(m)))
-        # each instance's hypers: [prior, channel], the refined one, [prior, NI]
-        ni = ni_channel(nx).matrix
-        channels = [c for i in members for c in (drawn[i][1], derived[i][0], ni)]
-        outer, inners, hyper, _ = _push_columns(
-            np.repeat(priors, 3, axis=0), np.hstack(channels), [c.shape[1] for c in channels])
-        (post_avg, ref_avg, ni_avg), (post_max, ref_max, ni_max) = (a.reshape(m, 3).T for a in (
-            _posterior_values(outer, inners, hyper, gain, f, family.h, family.enforce_h_class)))
-        violations[:, members] = (  # in the order of AXIOMS
-            np.maximum(abs(ni_avg - v_prior), abs(ni_max - v_prior)), v_prior - post_avg,
-            ref_avg - post_avg, ref_max - post_max, v_mixed - dot, v_mixed - top,
-            post_avg - post_max)
+    def gain_of(rows):  # the shared gain, or the drawn matrix of each row's instance
+        return gain if gain is not None else gains[rows]
+
+    priors, owner = tables[:, 0], np.repeat(np.arange(n), sizes[3])
+    v = _gen_values(np.vstack([priors, derived[:, 4], tables[:, 9:][parts]]),
+                    gain_of(np.concatenate([np.arange(n), np.arange(n), owner])), family.f)
+    v_prior, v_mixed, v_parts = v[:n], v[n:2 * n], v[2 * n:]
+    dot = np.bincount(owner, weights=weights[parts] * v_parts)
+    top = np.maximum.reduceat(v_parts, np.searchsorted(owner, np.arange(n)))
+    # each instance's hypers: [prior, channel], the refined one, [prior, NI];
+    # padded outputs have no mass, so the push drops them
+    columns = np.concatenate([tables[:, 1:5], derived[:, :4], np.ones((n, 4, 1))], axis=2)
+    outer, inners, hyper, _ = _push_columns(
+        np.repeat(priors, 3, axis=0), np.hstack(columns), np.tile([4, 4, 1], n))
+    (post_avg, ref_avg, ni_avg), (post_max, ref_max, ni_max) = (a.reshape(n, 3).T for a in (
+        _posterior_values(outer, inners, hyper, gain_of(hyper // 3), family.f, family.h,
+                          family.enforce_h_class)))
+    violations = np.array((  # in the order of AXIOMS
+        np.maximum(abs(ni_avg - v_prior), abs(ni_max - v_prior)), v_prior - post_avg,
+        ref_avg - post_avg, ref_max - post_max, v_mixed - dot, v_mixed - top,
+        post_avg - post_max))
 
     results = []
     for ax in axioms:
@@ -155,7 +153,9 @@ def run_axiom_suite(
         value[~np.isfinite(value)] = math.inf  # NaN included
         best = int(np.argmax(value))  # the first instance of the largest violation
         keys, found = ("instance", "prior", "channel", "refinement"), bool(value[best] > 0.0)
-        witness = dict(zip(keys, [best] + [t.tolist() for t in drawn[best][:3]])) if found else {}
+        a, b, c = sizes[:3, best]
+        drawn = tables[best, 0, :a], tables[best, 1:1 + a, :b], tables[best, 5:5 + b, :c]
+        witness = dict(zip(keys, [best] + [t.tolist() for t in drawn])) if found else {}
         results.append(VerificationResult(
             f"axiom:{ax}:{family.name}", n_instances, float(value[best]), tolerance, witness))
     return results

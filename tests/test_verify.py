@@ -348,6 +348,68 @@ def test_axiom_suite_matches_the_per_instance_reference(seed):
                 assert got.worst_instance == want.worst_instance, got.theorem_id
 
 
+def _suite_families():
+    control = MeasureFamily(
+        "corrupted-h", identity_fmean(), _reciprocal_h(), "identity", enforce_h_class=False
+    )
+    return ([classical_family()] + [alpha_family(a) for a in (0.5, 2.0, math.inf)]
+            + [control] + _finite_random_families())
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _inner=getattr(verify, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+def test_axiom_suite_matches_the_reference_across_secret_widths(monkeypatch):
+    # seed 14's five instances have 2, 4, 2, 3 and 4 secrets, so one padded
+    # stack holds every width the suite draws
+    pushed = []
+    inner = verify._push_columns
+    monkeypatch.setattr(verify, "_push_columns",
+                        lambda priors, *rest: pushed.append(priors) or inner(priors, *rest))
+    for family in _suite_families():
+        expected = reference_axiom_suite(family, 5, 14)
+        for got, want in zip(run_axiom_suite(family, 5, 14), expected, strict=True):
+            assert got.theorem_id == want.theorem_id
+            assert got.passed == want.passed, got.theorem_id
+            assert got.instances_checked == want.instances_checked == 5
+            assert abs(got.max_violation - want.max_violation) <= 1e-12, got.theorem_id
+            if want.max_violation > 1e-12:
+                assert got.worst_instance == want.worst_instance, got.theorem_id
+    assert np.count_nonzero(pushed[0][::3], axis=1).tolist() == [2, 4, 2, 3, 4]
+    assert len(pushed) == len(_suite_families())
+
+
+@pytest.mark.parametrize("n_instances", [1, 5, 200])
+def test_axiom_suite_scores_one_stack(n_instances, monkeypatch):
+    # whatever secret widths and gains are drawn: one push, one prior and
+    # one posterior scoring call, and at most two cleaning calls per suite
+    names = ("_clean_rows", "_gen_values", "_push_columns", "_posterior_values")
+    calls = _count_calls(monkeypatch, names)
+    families = [classical_family(), alpha_family(2.0)] + _finite_random_families()
+    for family in families:
+        run_axiom_suite(family, n_instances, seed=21)
+        assert calls.pop("_clean_rows") <= 2, family.name
+        assert calls == dict.fromkeys(names[1:], 1), family.name
+        calls.update(dict.fromkeys(names, 0))
+
+
+def test_axiom_suite_rejects_bad_axioms_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew instances")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for axioms in ((), ("NI", "MONOTONICITY")):
+        with pytest.raises(ParameterError, match="AXIOMS"):
+            run_axiom_suite(classical_family(), 10, seed=0, axioms=axioms)
+
+
 def test_axiom_suites_pass_with_finite_random_gains():
     for family in _finite_random_families():
         results = run_axiom_suite(family, n_instances=300, seed=3)
