@@ -419,8 +419,9 @@ def _unclamped_logsumexp_into(scratch, axis):
 
 @pytest.mark.parametrize("alpha", [50.0, 1e3, 1e6])
 def test_high_order_kernels_equal_the_unclamped_sum_exactly(alpha, monkeypatch):
-    # entries that exp would take below about 1e-308 read 0; a sum of at
-    # least 1 cannot see them, so every value stays bit for bit the same
+    # entries that exp would take below about 1e-308 read 0 when most are
+    # (here at orders 1e3 and 1e6); a sum of at least 1 cannot see them, so
+    # every value stays bit for bit the same
     rng = np.random.default_rng(int(alpha))
     p = rng.dirichlet(np.ones(64))
     p[1] = 0.0
@@ -431,7 +432,8 @@ def test_high_order_kernels_equal_the_unclamped_sum_exactly(alpha, monkeypatch):
     hyper = push(prior, channel)
     with np.errstate(divide="ignore"):
         terms = alpha * np.log(channel.matrix)
-    assert (terms - terms.max(axis=1, keepdims=True) < -708.0).any()
+    underflow = (terms - terms.max(axis=1, keepdims=True) < -708.0).mean()
+    assert underflow > (0.5 if alpha > 50.0 else 0.0)
     measures = (
         lambda: _logsumexp_into(terms.copy(), 1), lambda: _logsumexp_into(terms.copy(), 0),
         lambda: renyi_entropy(prior, alpha), lambda: arimoto_mi(hyper, alpha),
