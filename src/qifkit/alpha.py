@@ -64,21 +64,12 @@ def _logsumexp(values: np.ndarray) -> float:
 
 def _logsumexp_into(scratch: np.ndarray, axis: int) -> np.ndarray:
     """:func:`_logsumexp` of each slice along ``axis`` of a float array that it
-    overwrites: the slice maxima are subtracted, exponentiated and summed in place.
-    A shifted entry below -708 adds less than 1e-307 to a sum of at least 1, and
-    exp is slow there: when most entries of an array of at least 4096 are, they
-    are set to exactly 0 and only the rest are exponentiated (the searches' many
-    small stacks would pay for the test on every call and save little)."""
+    overwrites: the slice maxima are subtracted, exponentiated and summed in place."""
     m = scratch.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
         scratch -= m
-        if scratch.size >= 4096 and 2 * np.count_nonzero(small := scratch < -708.0) > scratch.size:
-            np.exp(scratch, out=scratch, where=~small)
-            np.copyto(scratch, 0.0, where=small)
-        else:
-            np.exp(scratch, out=scratch)
-        return np.log(scratch.sum(axis=axis)) + np.squeeze(m, axis)
+        return np.log(np.exp(scratch, out=scratch).sum(axis=axis)) + np.squeeze(m, axis)
 
 
 def _shannon(p: np.ndarray) -> np.ndarray:

@@ -386,6 +386,21 @@ def test_axiom_suite_matches_the_reference_across_secret_widths(monkeypatch):
     assert len(pushed) == len(_suite_families())
 
 
+def test_axiom_suite_matches_the_reference_where_padding_shifts_the_entropy_branch():
+    # at order 600, alpha * log|X| < 700 holds for 2 and 3 secrets, so the
+    # reference scores those rows of the simplex closed form unshifted, while
+    # the suite's rows are padded to 4 secrets and take the max-shifted branch
+    family = alpha_family(600.0)
+    for seed in (0, 1):
+        expected = reference_axiom_suite(family, 300, seed)
+        for got, want in zip(run_axiom_suite(family, 300, seed), expected, strict=True):
+            assert got.theorem_id == want.theorem_id
+            assert got.passed == want.passed, got.theorem_id
+            assert abs(got.max_violation - want.max_violation) <= 1e-12, got.theorem_id
+            if want.max_violation > 1e-12:
+                assert got.worst_instance == want.worst_instance, got.theorem_id
+
+
 @pytest.mark.parametrize("n_instances", [1, 5, 200])
 def test_axiom_suite_scores_one_stack(n_instances, monkeypatch):
     # whatever secret widths and gains are drawn: one push, one prior and
