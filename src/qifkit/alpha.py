@@ -10,6 +10,7 @@ limit-continuity tests).
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,20 +57,24 @@ def _logsumexp(values: np.ndarray) -> float:
     v = v[v != -INF]
     if v.size == 0:
         return -INF
-    m = float(v.max())
+    m = float(np.maximum.reduce(v))
     if math.isinf(m):
         return INF
-    return m + math.log(float(np.exp(v - m).sum()))
+    return m + math.log(float(np.add.reduce(np.exp(v - m))))
 
 
 def _logsumexp_into(scratch: np.ndarray, axis: int) -> np.ndarray:
     """:func:`_logsumexp` of each slice along ``axis`` of a float array that it
-    overwrites: the slice maxima are subtracted, exponentiated and summed in place."""
-    m = scratch.max(axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore", over="ignore"):
+    overwrites: the slice maxima are subtracted, exponentiated and summed in place.
+    A finite maximum leaves its sum at least 1, so only other slices need errstate."""
+    m = np.maximum.reduce(scratch, axis=axis, keepdims=True)
+    finite = np.isfinite(m)
+    if not (tame := np.count_nonzero(finite) == finite.size):
+        m[~finite] = 0.0
+    with nullcontext() if tame else np.errstate(divide="ignore", over="ignore"):
         scratch -= m
-        return np.log(np.exp(scratch, out=scratch).sum(axis=axis)) + np.squeeze(m, axis)
+        total = np.add.reduce(np.exp(scratch, out=scratch), axis=axis)
+        return np.log(total) + m.squeeze(axis)
 
 
 def _shannon(p: np.ndarray) -> np.ndarray:

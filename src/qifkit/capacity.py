@@ -1,10 +1,11 @@
 """Leakage capacities: closed forms and sup-over-prior optimization.
 
 Closed forms: Bayes capacity, LDP leakage, Renyi LDP, and the
-multiplicative-inverse capacity family.  Everything else goes through
-``sup_over_prior``, which certifies a lower bound on the supremum from a
-union of candidate sources (simplex grid, Dirichlet restarts with projected
-ascent, and the near-vertex prior family).
+multiplicative-inverse capacity family.  The maximal leakages search whole
+stacks of priors and certify a lower bound on the supremum from a union of
+candidate sources (simplex grid, Dirichlet restarts with projected ascent,
+and the near-vertex prior family); ``sup_over_prior`` runs the same search
+for a user objective scored one prior at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .alpha import AlphaOrder, _logsumexp, _logsumexp_into, _sibson
 from .core import Channel, Prior, _check_dims, _clean_rows
 from .errors import ParameterError
 from .fmeans import FMeanSpec, has_multiplicative_inverse
-from .simplex import dirichlet_priors, projected_ascent, simplex_grid, vertex_prior
+from .simplex import projected_ascent, simplex_grid
 
 INF = math.inf
 
@@ -42,6 +43,8 @@ class SimplexOptimizerConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.ascent_tolerance <= 0:
             raise ParameterError("restarts must be >= 1 and tolerance positive")
+        if any(int(n) < 2 for n in self.vertex_epsilon_sequence):
+            raise ParameterError("vertex prior needs n >= 2")
 
 
 def bayes_capacity(channel: Channel) -> float:
@@ -93,48 +96,78 @@ def renyi_ldp(channel: Channel, alpha) -> float:
     return worst
 
 
-def _check_ab_orders(alpha, beta: float) -> AlphaOrder:
+def _ab_orders(alpha, beta: float) -> tuple[AlphaOrder, float]:
+    """The checked order alpha, and the factor in front of the log-sum (or
+    of the log-max at beta = inf)."""
     a = AlphaOrder.of(alpha)
     if a.branch not in ("finite_gt1", "infinity"):
         raise ParameterError(f"alpha must lie in (1, inf], got {a.value}")
     if not beta >= 1.0:
         raise ParameterError(f"beta must lie in [1, inf], got {beta}")
-    return a
-
-
-def _ab_coefficient(a: AlphaOrder, beta: float) -> float:
-    """The factor in front of the log-sum (or the max at beta = inf)."""
     if math.isinf(beta):
-        return 1.0 if a.branch == "infinity" else a.value / (a.value - 1.0)
-    return (1.0 / beta) if a.branch == "infinity" else a.value / ((a.value - 1.0) * beta)
+        return a, 1.0 if a.branch == "infinity" else a.value / (a.value - 1.0)
+    return a, (1.0 / beta) if a.branch == "infinity" else a.value / ((a.value - 1.0) * beta)
+
+
+def _ab_scores(terms: np.ndarray, log_R: np.ndarray, a: AlphaOrder, beta: float,
+               shift: float = 0.0) -> np.ndarray:
+    """Reduce a stack (n, |X|, |Y|) of log w_x + alpha log C_xy (log w_x +
+    log C_xy at alpha = inf) in place to log M_y - shift, M_y = (sum_x w_x
+    C_xy^alpha)^(1/alpha) (max_x at alpha = inf), and score it against each
+    row of log_R broadcast with it, (r, 1, |Y|) rows giving (r, n) scores:
+    log sum_y R_y^(1-beta) M_y^beta, or log max_y M_y / R_y at beta = inf,
+    before the order factor.  log_R must be finite where M_y = 0, which
+    drops those outputs."""
+    log_M = (np.maximum.reduce(terms, axis=1) if a.branch == "infinity"
+             else _logsumexp_into(terms, 1) / a.value) - shift
+    if math.isinf(beta):
+        return np.maximum.reduce(log_M - log_R, axis=-1)
+    return _logsumexp_into((1.0 - beta) * log_R + beta * log_M, -1)
 
 
 def alpha_beta_leakage(prior: Prior, channel: Channel, alpha, beta: float) -> float:
     """Two-parameter generalized leakage of a specific prior, closed form.
 
     Reduces to Arimoto mutual information at beta = 1.  The alpha and beta
-    infinities are dedicated max-branches rather than large exponents.
-    """
-    a = _check_ab_orders(alpha, beta)
+    infinities are dedicated max-branches rather than large exponents.  One
+    row scored over the reached outputs: R = p(y), w = pi^alpha shifted by
+    log ||pi||_alpha, the prior tilted to order alpha."""
+    a, coeff = _ab_orders(alpha, beta)
     _check_dims(prior, channel)
-    p_y = prior.probs @ channel.matrix
+    C = channel.matrix
+    p_y = prior.probs @ C
     keep = p_y > 0.0
-    log_py = np.log(p_y[keep])
-    with np.errstate(divide="ignore"):  # zero prior entries and unreachable outputs give -inf
-        log_p, log_joint = np.log(prior.probs), np.log(channel.matrix)
-    log_joint += log_p[:, None]
+    if np.count_nonzero(keep) < keep.size:
+        p_y, C = p_y[keep], C[:, keep]
+    with np.errstate(divide="ignore"):  # zero prior entries give -inf
+        log_p, terms, log_py = np.log(prior.probs), np.log(C), np.log(p_y)
+    terms += log_p[:, None]
     if a.branch == "infinity":
-        norm = log_joint.max(axis=0)            # log max_x pi_x C_{x,y}
-        z = float(log_p.max())
-    else:
-        log_joint *= a.value
-        norm = _logsumexp_into(log_joint, 0) / a.value
-        z = _logsumexp(a.value * log_p) / a.value
-    centered = norm[keep] - z
-    coeff = _ab_coefficient(a, beta)
-    if math.isinf(beta):
-        return coeff * float((centered - log_py).max())
-    return coeff * _logsumexp((1.0 - beta) * log_py + beta * centered)
+        return coeff * float(_ab_scores(terms[None], log_py, a, beta, float(log_p.max()))[0])
+    terms *= a.value
+    z = _logsumexp(a.value * log_p) / a.value
+    return coeff * float(_ab_scores(terms[None], log_py, a, beta, z)[0])
+
+
+def _ab_capacity_scores(channel: Channel, alpha, beta: float):
+    """The maximal-(alpha, beta) objective of a stack of priors (n, |X|): the
+    best score over R the channel rows, with w the prior (at alpha = inf,
+    its support).  At beta = 1, where R does not count, it passes zeros."""
+    (a, coeff), C = _ab_orders(alpha, beta), channel.matrix
+    with np.errstate(divide="ignore"):
+        log_C = np.log(C)
+    scaled = log_C if a.branch == "infinity" else a.value * log_C
+    rows = np.zeros((1, 1, C.shape[1])) if beta == 1.0 else log_C[:, None, :]
+
+    def scores(P: np.ndarray) -> np.ndarray:
+        on = P > 0.0
+        with np.errstate(divide="ignore"):
+            log_w = np.where(on, 0.0, -INF) if a.branch == "infinity" else np.log(P)
+        log_R = np.where(on @ (C > 0.0), rows, 0.0)  # outputs the prior reaches
+        return coeff * np.maximum.reduce(_ab_scores(log_w[:, :, None] + scaled, log_R, a, beta),
+                                         axis=0)
+
+    return scores
 
 
 def alpha_beta_capacity_objective(channel: Channel, alpha, beta: float):
@@ -145,37 +178,44 @@ def alpha_beta_capacity_objective(channel: Channel, alpha, beta: float):
     reweights the order-alpha row mixture.  Its supremum over priors is the
     maximal (alpha, beta)-leakage; at beta = 1 it coincides with Sibson
     mutual information, at alpha = beta its vertex limit is the Renyi LDP
-    leakage, and at alpha = beta = inf the LDP leakage.
-    """
-    a = _check_ab_orders(alpha, beta)
-    coeff = _ab_coefficient(a, beta)
-    with np.errstate(divide="ignore"):
-        log_C = np.log(channel.matrix)
-
-    def objective(weights: np.ndarray) -> float:
-        w = np.asarray(weights, dtype=float)
-        on = w > 0.0
-        if a.branch == "infinity":
-            mix = log_C[on].max(axis=0)
-        else:
-            mix = _logsumexp_into(np.log(w[on])[:, None] + a.value * log_C[on], 0) / a.value
-        # outputs no weighted row reaches drop out of every row's sum
-        cols = np.isfinite(mix)
-        mix, rows = mix[cols], log_C[:, cols]
-        if math.isinf(beta):
-            return coeff * float((mix - rows).max())
-        if beta == 1.0:
-            return coeff * _logsumexp(mix)
-        return coeff * float(_logsumexp_into((1.0 - beta) * rows + beta * mix, 1).max())
-
-    return objective
+    leakage, and at alpha = beta = inf the LDP leakage."""
+    scores = _ab_capacity_scores(channel, alpha, beta)
+    return lambda weights: float(scores(np.asarray(weights, dtype=float)[None])[0])
 
 
-class _Stacked:
-    """An objective that scores an (n, dim) stack of priors in one call."""
+def _stack_search(scores, dim: int, config: SimplexOptimizerConfig | None = None):
+    """:func:`sup_over_prior` for ``scores``, which maps an (n, dim) stack of
+    priors to their n values."""
+    cfg = config or SimplexOptimizerConfig()
+    evaluations = nan_count = 0
 
-    def __init__(self, scores) -> None:
-        self.scores = scores
+    def counted(points: np.ndarray) -> np.ndarray:
+        nonlocal evaluations, nan_count
+        values = scores(points)
+        evaluations += len(points)
+        nan_count += int(np.isnan(values).sum())
+        return values
+
+    # the uniform prior, the grid and the near-vertex priors (1 - 1/n on one corner) in one call
+    levels = [int(n) for n in cfg.vertex_epsilon_sequence] if dim >= 2 else []
+    n = np.array(levels, dtype=float)[:, None, None]
+    vertices = np.where(np.eye(dim, dtype=bool), 1.0 - 1.0 / n, 1.0 / (n * (dim - 1)))
+    grid = simplex_grid(dim, cfg.grid_resolution) if dim <= 3 else np.empty((0, dim))
+    points = np.vstack([np.full((1, dim), 1.0 / dim), grid, vertices.reshape(-1, dim)])
+    values = np.fmax(counted(points), -INF)  # NaN candidates read as -inf
+    best = int(np.argmax(values))
+    best_val, best_point = float(values[best]), points[best]
+    vertex_values = values[len(points) - dim * len(levels):].reshape(-1, dim)
+    vertex_trend = {n: float(v) for n, v in zip(levels, vertex_values.max(axis=1))}
+    restarts = np.random.default_rng(cfg.seed).dirichlet(np.ones(dim), size=cfg.restarts)
+    for s in [best_point, *restarts]:
+        val, point = projected_ascent(counted, s, max_iterations=cfg.max_iterations,
+                                      tolerance=cfg.ascent_tolerance)
+        if val > best_val:
+            best_val, best_point = val, point
+    diagnostics = {"evaluations": evaluations, "nan_evaluations": nan_count,
+                   "vertex_trend": vertex_trend, "restarts": cfg.restarts, "seed": cfg.seed}
+    return best_val, Prior(best_point), diagnostics
 
 
 def sup_over_prior(objective, dim: int, config: SimplexOptimizerConfig | None = None):
@@ -186,49 +226,13 @@ def sup_over_prior(objective, dim: int, config: SimplexOptimizerConfig | None = 
     is not claimed unless a closed form exists.  NaN evaluations are skipped;
     every objective call, the ascent's included, is counted.  ``objective``
     maps one prior to a number and sees the candidates one by one in order.
+    No built-in measure uses it: they search stacks of priors directly.
     """
-    cfg = config or SimplexOptimizerConfig()
-    rng = np.random.default_rng(cfg.seed)
-    evaluations = nan_count = 0
-    scores = objective.scores if isinstance(objective, _Stacked) else (
-        lambda points: np.array([float(objective(p)) for p in points]))
-
-    def counted(points: np.ndarray) -> np.ndarray:
-        nonlocal evaluations, nan_count
-        values = scores(points)
-        evaluations += len(points)
-        nan_count += int(np.isnan(values).sum())
-        return values
-
-    levels = [int(n) for n in cfg.vertex_epsilon_sequence] if dim >= 2 else []
-    candidates = [np.full((1, dim), 1.0 / dim)]
-    if dim <= 3:
-        candidates.append(simplex_grid(dim, cfg.grid_resolution))
-    candidates += [[vertex_prior(dim, corner, n) for corner in range(dim)] for n in levels]
-    points = np.vstack(candidates)
-    values = np.fmax(counted(points), -INF)  # NaN candidates read as -inf
-    best = int(np.argmax(values))
-    best_val, best_point = float(values[best]), points[best]
-    vertices = values[len(points) - dim * len(levels):].reshape(-1, dim)
-    vertex_trend = {n: float(v) for n, v in zip(levels, vertices.max(axis=1))}
-    for s in [best_point, *dirichlet_priors(rng, dim, cfg.restarts)]:
-        val, point = projected_ascent(counted, s, max_iterations=cfg.max_iterations,
-                                      tolerance=cfg.ascent_tolerance)
-        if val > best_val:
-            best_val, best_point = val, point
-    diagnostics = {
-        "evaluations": evaluations,
-        "nan_evaluations": nan_count,
-        "vertex_trend": vertex_trend,
-        "restarts": cfg.restarts,
-        "seed": cfg.seed,
-    }
-    return best_val, Prior(best_point), diagnostics
+    return _stack_search(lambda points: np.array([float(objective(p)) for p in points]),
+                         dim, config)
 
 
-def maximal_alpha_leakage(
-    channel: Channel, alpha, config: SimplexOptimizerConfig | None = None
-):
+def maximal_alpha_leakage(channel: Channel, alpha, config: SimplexOptimizerConfig | None = None):
     """Maximal order-alpha leakage: sup over priors of the alpha-leakage.
 
     Arimoto mutual information at a prior P equals Sibson mutual
@@ -237,16 +241,15 @@ def maximal_alpha_leakage(
     whole stacks of priors that pass the same checks as ``Prior``.
     """
     a, C = AlphaOrder.of(alpha), channel.matrix
-    stacked = _Stacked(lambda P: _sibson(_clean_rows(P, "prior", rows=True), C, a))
-    return sup_over_prior(stacked, channel.n_inputs, config)
+    return _stack_search(lambda P: _sibson(_clean_rows(P, "prior", rows=True), C, a),
+                         channel.n_inputs, config)
 
 
-def maximal_alpha_beta_leakage(
-    channel: Channel, alpha, beta: float, config: SimplexOptimizerConfig | None = None
-):
-    """Maximal (alpha, beta)-leakage via the reduced capacity objective."""
-    objective = alpha_beta_capacity_objective(channel, alpha, beta)
-    return sup_over_prior(objective, channel.n_inputs, config)
+def maximal_alpha_beta_leakage(channel: Channel, alpha, beta: float,
+                               config: SimplexOptimizerConfig | None = None):
+    """Maximal (alpha, beta)-leakage: the reduced capacity objective,
+    searched on whole stacks of priors."""
+    return _stack_search(_ab_capacity_scores(channel, alpha, beta), channel.n_inputs, config)
 
 
 def multiplicative_f_capacity(channel: Channel, f: FMeanSpec) -> float:

@@ -1,4 +1,4 @@
-"""Utilities on the probability simplex: grids, projection, vertex families."""
+"""Utilities on the probability simplex: grids, projection, projected ascent."""
 
 from __future__ import annotations
 
@@ -46,41 +46,21 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + np.take_along_axis(lams, rho[..., None], axis=-1), 0.0)
 
 
-def vertex_prior(dim: int, corner: int, n: int) -> np.ndarray:
-    """Full-support prior concentrated on one corner: mass 1 - 1/n on
-    ``corner`` and the remaining 1/n spread evenly over the other symbols.
-    """
-    if dim < 2:
-        return np.ones(1)
-    if n < 2:
-        raise ParameterError("vertex prior needs n >= 2")
-    p = np.full(dim, 1.0 / (n * (dim - 1)))
-    p[corner] = 1.0 - 1.0 / n
-    return p
-
-
-def dirichlet_priors(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """Dirichlet(1, ..., 1) draws, rows are distributions."""
-    return rng.dirichlet(np.ones(dim), size=count)
-
-
-def projected_ascent(
-    fun,
-    start: np.ndarray,
-    max_iterations: int = 300,
-    tolerance: float = 1e-12,
-    fd_step: float = 1e-6,
-) -> tuple[float, np.ndarray]:
+def projected_ascent(fun, start: np.ndarray, max_iterations: int = 300, tolerance: float = 1e-12,
+                     fd_step: float = 1e-6) -> tuple[float, np.ndarray]:
     """Maximize ``fun`` over the simplex by finite-difference projected
     gradient ascent with backtracking.  ``fun`` scores an (n, dim) stack:
     each iteration's 2 * dim difference points (up and down interleaved) in
     one call, its line-search points one per call.  A local method: callers
-    provide the multi-start.  Evaluations happen only at projected points.
+    provide the multi-start.  Evaluations happen only at projected points,
+    and the ascent stops at +inf, which nothing beats.
     """
     x = project_to_simplex(np.asarray(start, dtype=float))
     fx = float(fun(x[None])[0])
     steps = fd_step * np.eye(x.size)
     for _ in range(max_iterations):
+        if fx == np.inf:
+            break
         stencil = np.stack([x + steps, x - steps], axis=1).reshape(-1, x.size)
         values = np.asarray(fun(project_to_simplex(stencil)), dtype=float)
         grad = (values[0::2] - values[1::2]) / (2.0 * fd_step)

@@ -354,16 +354,19 @@ def _linear_closed_forms(p, C, a):
 
 def _linear_alpha_beta(p, C, a, beta):
     """a/((a-1) beta) log sum_y p_y^(1-beta) (||J_y||_a / ||p||_a)^beta over
-    reached outputs; at a = inf the norms are maxima and the factor 1/beta."""
+    reached outputs; at a = inf the norms are maxima and the factor 1/beta;
+    at beta = inf the sum is max_y ratio_y / p_y without the 1/beta."""
     J = p[:, None] * C
     p_y = J.sum(axis=0)
     reached = p_y > 0
     if a == math.inf:
-        ratio, coeff = J[:, reached].max(axis=0) / p.max(), 1.0 / beta
+        ratio, coeff = J[:, reached].max(axis=0) / p.max(), 1.0
     else:
         norms = ((J[:, reached] ** a).sum(axis=0)) ** (1.0 / a)
-        ratio, coeff = norms / (p**a).sum() ** (1.0 / a), a / ((a - 1.0) * beta)
-    return coeff * math.log((p_y[reached] ** (1.0 - beta) * ratio**beta).sum())
+        ratio, coeff = norms / (p**a).sum() ** (1.0 / a), a / (a - 1.0)
+    if beta == math.inf:
+        return coeff * math.log((ratio / p_y[reached]).max())
+    return coeff / beta * math.log((p_y[reached] ** (1.0 - beta) * ratio**beta).sum())
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -387,7 +390,8 @@ def test_large_channel_kernels_match_linear_closed_forms(n):
         assert arimoto_conditional_entropy(hyper, a) == pytest.approx(h_cond, rel=1e-12, abs=0)
         assert arimoto_mi(hyper, a) == pytest.approx(arimoto, rel=1e-12, abs=0)
         assert sibson_mi(prior, channel, a) == pytest.approx(sibson, rel=1e-12, abs=0)
-    for a, beta in ((2.0, 1.0), (2.0, 2.0), (5.0, 3.0), (math.inf, 2.0)):
+    for a, beta in ((2.0, 1.0), (2.0, 2.0), (5.0, 3.0), (math.inf, 2.0), (2.0, math.inf),
+                    (math.inf, math.inf)):
         assert alpha_beta_leakage(prior, channel, a, beta) == pytest.approx(
             _linear_alpha_beta(p, C, a, beta), rel=1e-12, abs=0
         )

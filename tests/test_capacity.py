@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from qifkit.cli import main
 from qifkit.core import Channel, Prior, _clean_rows, ni_channel, push
 from qifkit.errors import ParameterError, ValidationError
 from qifkit.fmeans import f_alpha, identity_fmean
-from qifkit.gains import FiniteMatrixGain
+from qifkit.gains import FiniteMatrixGain, SimplexGain
+from qifkit.simplex import simplex_grid
+from qifkit.verify import verify_maximal_equals_capacity
 from qifkit.vulnerability import (
     gen_posterior_vulnerability_avg,
     gen_prior_vulnerability,
@@ -94,6 +97,8 @@ def test_sup_over_prior_constant_objective():
     assert value == 0.0
     assert witness.dim == 3
     assert diagnostics["evaluations"] > 0
+    with pytest.raises(ParameterError, match="n >= 2"):
+        SimplexOptimizerConfig(vertex_epsilon_sequence=(10, 1))
 
 
 def test_sup_over_prior_counts_every_objective_call():
@@ -143,11 +148,13 @@ def test_maximal_alpha_leakage_is_one_sibson_search(monkeypatch, rng):
     channel = random_channel(rng, 3, 3)
     calls = []
 
-    def counting(objective, dim, config=None):
-        calls.append(dim)
-        return sup_over_prior(objective, dim, config)
+    search = capacity._stack_search
 
-    monkeypatch.setattr(capacity, "sup_over_prior", counting)
+    def counting(scores, dim, config=None):
+        calls.append(dim)
+        return search(scores, dim, config)
+
+    monkeypatch.setattr(capacity, "_stack_search", counting)
     for a in (0.0, 0.5, 1.0, 2.0, math.inf):
         calls.clear()
         value, witness, diagnostics = maximal_alpha_leakage(channel, a, FAST)
@@ -170,7 +177,7 @@ def test_sup_over_prior_scores_stacks_like_single_priors(rng):
                 return np.where(P[:, 0] > 0.9, math.nan, values)
 
             one = sup_over_prior(scalar, channel.n_inputs, FAST)
-            many = sup_over_prior(capacity._Stacked(stacked), channel.n_inputs, FAST)
+            many = capacity._stack_search(stacked, channel.n_inputs, FAST)
             assert one[0] == pytest.approx(many[0], abs=1e-12)
             assert np.allclose(one[1].probs, many[1].probs, rtol=0.0, atol=1e-12)
             for key in ("evaluations", "nan_evaluations"):
@@ -183,13 +190,15 @@ def test_maximal_alpha_leakage_objective_validates_each_stack(monkeypatch, rng):
     channel = random_channel(rng, 3, 3)
     seen = []
 
-    def keep(objective, dim, config=None):
-        seen.append(objective)
-        return sup_over_prior(objective, dim, config)
+    search = capacity._stack_search
 
-    monkeypatch.setattr(capacity, "sup_over_prior", keep)
+    def keep(scores, dim, config=None):
+        seen.append(scores)
+        return search(scores, dim, config)
+
+    monkeypatch.setattr(capacity, "_stack_search", keep)
     maximal_alpha_leakage(channel, 2.0, FAST)
-    score = seen[0].scores
+    score = seen[0]
     good = np.array([[0.2, 0.3, 0.5], [0.0, 1.0, 0.0]])
     assert np.allclose(score(good), [sibson_mi(Prior(p), channel, 2.0) for p in good])
     for bad in ([math.nan, 0.5, 0.5], [-0.01, 0.51, 0.5], [0.2, 0.3, 0.5 + 1e-6]):
@@ -234,6 +243,52 @@ def test_maximal_alpha_beta_vertex_trend_reaches_renyi_ldp():
     levels = [trend[n] for n in sorted(trend)]
     assert all(b >= a - 1e-12 for a, b in zip(levels, levels[1:]))
     assert all(level <= target + 1e-9 for level in levels)
+
+
+def test_maximal_alpha_beta_leakage_stops_at_infinity():
+    # a zero entry that every prior reaches makes the objective +inf everywhere
+    channel = Channel([[0.5, 0.0, 0.5], [0.2, 0.3, 0.5], [0.1, 0.6, 0.3]])
+    assert renyi_ldp(channel, 2) == math.inf
+    config = SimplexOptimizerConfig(restarts=1, grid_resolution=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, _, _ = maximal_alpha_beta_leakage(channel, 2, 2, config)
+    assert value == math.inf
+
+
+def test_built_in_searches_score_stacks(monkeypatch, rng):
+    calls = []
+    search = capacity._stack_search
+
+    def spy(scores, dim, config=None):
+        def recorded(P):
+            calls.append(np.array(P))
+            return scores(P)
+
+        return search(recorded, dim, config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a built-in measure entered the per-row adapter")
+
+    monkeypatch.setattr(capacity, "_stack_search", spy)
+    monkeypatch.setattr(capacity, "sup_over_prior", refuse)
+    channel = random_channel(rng, 3, 3)
+    maximal_alpha_beta_leakage(channel, 2.0, 1.5, FAST)
+    grid = simplex_grid(3, FAST.grid_resolution)
+    levels = FAST.vertex_epsilon_sequence
+    first = calls[0]
+    assert first.shape == (1 + len(grid) + 3 * len(levels), 3)
+    np.testing.assert_array_equal(first[0], np.full(3, 1.0 / 3))
+    np.testing.assert_array_equal(first[1:1 + len(grid)], grid)
+    for k, n in enumerate(levels):
+        block = first[1 + len(grid) + 3 * k:][:3]
+        np.testing.assert_array_equal(np.diag(block), np.full(3, 1.0 - 1.0 / n))
+        assert np.all(block[~np.eye(3, dtype=bool)] == 1.0 / (2 * n))
+    calls.clear()
+    maximal_alpha_leakage(channel, 2.0, FAST)
+    f2 = f_alpha(2.0)
+    verify_maximal_equals_capacity(channel, SimplexGain(), f2, f2, (3, 2), FAST)
+    assert len(calls[0]) == len(first)
 
 
 def test_alpha_beta_capacity_objective_beta1_is_sibson(rng):

@@ -96,6 +96,15 @@ def test_leakage_mult_diagnostics(files, capsys):
     assert report["diagnostics"]["posterior_avg"] == pytest.approx(0.9)
 
 
+def test_order_zero_simplex_measures_exit_0(files, capsys):
+    argv = ["--prior", str(files["prior"]), "--channel", str(files["channel"]),
+            "--gain", "simplex", "--f", "alpha:0"]
+    for measure in ("post-avg", "post-max", "leakage-mult"):
+        code, report = run_json(capsys, ["compute", measure, *argv])
+        assert code == 0
+        assert report["value"] == (0.0 if measure == "leakage-mult" else 0.5)
+
+
 def test_reports_byte_identical(files, capsys):
     out1 = files["dir"] / "a.json"
     out2 = files["dir"] / "b.json"
