@@ -267,6 +267,7 @@ class _Measure(NamedTuple):
     compute: Callable
     log_valued: bool
     inf_reason: str | None = None
+    params: tuple = ()  # the options that set its value, which its report records
 
 
 _POSTERIOR = ("prior", "gain", "channel")
@@ -310,7 +311,9 @@ _MEASURES = {
     "renyi-ldp": _Measure(
         ("channel", "alpha"), lambda x: renyi_ldp(x.channel, x.alpha), True, "zero_channel_entry"
     ),
-    "max-alpha-capacity": _Measure(("channel", "alpha"), _max_alpha_capacity, True),
+    "max-alpha-capacity": _Measure(
+        ("channel", "alpha"), _max_alpha_capacity, True, params=("grid_resolution", "restarts")
+    ),
     "mult-f-capacity": _Measure(("channel", "f"), _mult_f_capacity, True),
 }
 
@@ -334,6 +337,7 @@ def _compute(args) -> int:
     )
     params = {"alpha": x.alpha, "beta": x.beta, "f": args.f, "h": args.hmean, "gain": args.gain}
     params = {name: value for name, value in params.items() if value not in (None, "")}
+    params.update((name, getattr(args, name)) for name in entry.params)
 
     for name in entry.inputs:
         if getattr(x, name) is None:

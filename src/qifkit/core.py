@@ -128,11 +128,12 @@ class Hyper:
         inn = _clean_rows(inners, "inner matrix", rows=True)
         if inn.shape[0] != out.size:
             raise ValidationError("inners must have one row per retained output")
-        if retained_outputs is None:
-            retained_outputs = tuple(range(out.size))
+        retained = tuple(range(out.size) if retained_outputs is None else retained_outputs)
+        if len(retained) != out.size:
+            raise ValidationError("retained_outputs must name one output per outer weight")
         object.__setattr__(self, "outer", out)
         object.__setattr__(self, "inners", inn)
-        object.__setattr__(self, "retained_outputs", tuple(retained_outputs))
+        object.__setattr__(self, "retained_outputs", retained)
 
     @property
     def n_outputs(self) -> int:

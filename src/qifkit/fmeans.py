@@ -42,16 +42,6 @@ def _log(t):
         return np.log(np.asarray(t, dtype=float))
 
 
-def _reject(name: str) -> Callable:
-    def _raiser(_t):
-        raise ParameterError(
-            f"{name} is a tagged limit without a usable pointwise map; "
-            "use the dedicated closed-form branch"
-        )
-
-    return _raiser
-
-
 @dataclass(frozen=True)
 class FMeanSpec:
     """A strictly monotonic continuous mean function with its inverse.
@@ -97,6 +87,17 @@ def _power_spec(name, p, direction, inverse_convexity, **tags) -> FMeanSpec:
     )
 
 
+def _limit_spec(name, direction, inverse_convexity, domain, **tags) -> FMeanSpec:
+    def refuse(_t):
+        raise ParameterError(
+            f"{name} is a tagged limit without a usable pointwise map; "
+            "use the dedicated closed-form branch"
+        )
+
+    return FMeanSpec(name, refuse, refuse, direction, inverse_convexity, domain,
+                     kind="limit", **tags)
+
+
 def identity_fmean() -> FMeanSpec:
     """Plain averaging: the affine mean that recovers classical measures."""
     return _power_spec("identity", 1.0, INCREASING, AFFINE)
@@ -113,17 +114,8 @@ def f_alpha(alpha: float) -> FMeanSpec:
     if not (alpha >= 0.0):
         raise ParameterError(f"alpha must lie in [0, inf], got {alpha}")
     if alpha == 0.0:
-        return FMeanSpec(
-            name="f_alpha[0]",
-            forward=_reject("f_alpha[0]"),
-            inverse=_reject("f_alpha[0]"),
-            direction=DECREASING,
-            inverse_convexity=CONVEX,
-            domain=(0.0, math.inf),
-            kind="limit",
-            power=-math.inf,
-            alpha=0.0,
-        )
+        return _limit_spec("f_alpha[0]", DECREASING, CONVEX, (0.0, math.inf),
+                           power=-math.inf, alpha=0.0)
     if alpha == 1.0:
         return FMeanSpec(
             name="f_alpha[1]",
@@ -156,18 +148,8 @@ def h_alpha_beta(alpha: float, beta: float) -> FMeanSpec:
     if not beta >= 1.0:
         raise ParameterError(f"beta must lie in [1, inf], got {beta}")
     if math.isinf(beta):
-        return FMeanSpec(
-            name=f"h_ab[{alpha:g},inf]",
-            forward=_reject("h_ab[.,inf]"),
-            inverse=_reject("h_ab[.,inf]"),
-            direction=INCREASING,
-            inverse_convexity=CONCAVE,
-            domain=(0.0, math.inf),
-            kind="limit",
-            power=math.inf,
-            alpha=float(alpha),
-            beta=math.inf,
-        )
+        return _limit_spec(f"h_ab[{alpha:g},inf]", INCREASING, CONCAVE, (0.0, math.inf),
+                           power=math.inf, alpha=float(alpha), beta=math.inf)
     exponent = beta if math.isinf(alpha) else (alpha - 1.0) * beta / alpha
     if exponent < 1.0:
         warnings.warn(
@@ -195,17 +177,8 @@ def ell_alpha(alpha: float) -> FMeanSpec:
     if not (alpha >= 0.0):
         raise ParameterError(f"alpha must lie in [0, inf], got {alpha}")
     if alpha == 0.0:
-        return FMeanSpec(
-            name="ell[0]",
-            forward=_reject("ell[0]"),
-            inverse=_reject("ell[0]"),
-            direction=DECREASING,
-            inverse_convexity=CONVEX,
-            domain=(-math.inf, math.inf),
-            kind="limit",
-            exp_rate=-math.inf,
-            alpha=0.0,
-        )
+        return _limit_spec("ell[0]", DECREASING, CONVEX, (-math.inf, math.inf),
+                           exp_rate=-math.inf, alpha=0.0)
     if alpha == 1.0:
         return FMeanSpec(
             name="ell[1]",

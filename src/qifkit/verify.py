@@ -76,6 +76,18 @@ def alpha_family(alpha: float, gain: str = "simplex") -> MeasureFamily:
     return MeasureFamily(f"alpha[{alpha:g}]-{gain}", f, f, gain)
 
 
+def _result(theorem_id, violations, instances_checked, tolerance, witness) -> VerificationResult:
+    """A check's result from its violations in instance order: each clamped
+    at 0 (-0.0 reads 0.0), a NaN counting as +inf, and ``witness(i)`` taken
+    from the first instance of the largest violation when that is positive."""
+    value = np.maximum(0.0, np.asarray(violations, dtype=float)) + 0.0
+    value[~np.isfinite(value)] = math.inf
+    best = int(np.argmax(value))
+    largest = float(value[best])
+    return VerificationResult(theorem_id, instances_checked, largest, tolerance,
+                              witness(best) if largest > 0.0 else {})
+
+
 def run_axiom_suite(
     family: MeasureFamily,
     n_instances: int = 1000,
@@ -89,8 +101,10 @@ def run_axiom_suite(
 
     Every instance is drawn first into zero-padded stacks of 4 secrets,
     outputs and actions; a padded secret has no prior mass, so it never
-    weighs in, and the suite is scored as one stack.  A non-finite violation
-    counts as +inf.
+    weighs in, and the suite is scored as one stack.  A NaN violation
+    counts as +inf.  A witness holds the draws its check read: prior,
+    channel, refinement, the mixed ``parts`` and ``weights`` for CVX and
+    QCVX, and a "finite_random" ``gain``.
     """
     if n_instances < 1:
         raise ParameterError("a suite over no instances would pass vacuously")
@@ -103,20 +117,21 @@ def run_axiom_suite(
     ones = [np.ones(k) for k in range(5)]
     # per instance: prior, 4 channel rows, 4 refinement rows, 3 parts, as drawn
     tables, weights, gains = np.zeros((n, 12, 4)), np.zeros((n, 3)), np.empty((n, 4, 4))
-    sizes = np.empty((4, n), dtype=int)  # nx, ny, nz, parts
+    sizes = np.zeros((5, n), dtype=int)  # nx, ny, nz, parts, actions
     for i, t in enumerate(tables):
         nx, ny, nz = sizes[:3, i] = [int(rng.integers(2, 5)) for _ in range(3)]
         t[0, :nx] = rng.dirichlet(ones[nx])
         t[1:1 + nx, :ny] = rng.dirichlet(ones[ny], size=nx)
         t[5:5 + ny, :nz] = rng.dirichlet(ones[nz], size=ny)
         if gain is None:  # the padding repeats a drawn action row and secret column
-            g = rng.uniform(0.0, 2.0, size=(int(rng.integers(2, 5)), nx))
+            sizes[4, i] = m = int(rng.integers(2, 5))
+            g = rng.uniform(0.0, 2.0, size=(m, nx))
             gains[i] = g[np.minimum(pad, len(g) - 1)][:, np.minimum(pad, nx - 1)]
         sizes[3, i] = k = int(rng.integers(2, 4))
         for j in range(k):
             t[9 + j, :nx] = rng.dirichlet(ones[nx])
         weights[i, :k] = rng.dirichlet(ones[k])
-    one, (nx, ny, _, k) = np.ones((n, 1), dtype=bool), sizes[:, :, None] > pad  # drawn rows
+    one, (nx, ny, _, k) = np.ones((n, 1), dtype=bool), sizes[:4, :, None] > pad  # drawn rows
     drawn, parts = np.hstack([one, nx, ny, k[:, :3]]), k[:, :3]
     tables[drawn] = _clean_rows(tables[drawn], "drawn table", rows=True)
     # then each instance's composed channel and mixed prior
@@ -147,18 +162,19 @@ def run_axiom_suite(
         ref_avg - post_avg, ref_max - post_max, v_mixed - dot, v_mixed - top,
         post_avg - post_max))
 
-    results = []
-    for ax in axioms:
-        value = np.maximum(0.0, violations[AXIOMS.index(ax)]) + 0.0  # and -0.0 reads 0.0
-        value[~np.isfinite(value)] = math.inf  # NaN included
-        best = int(np.argmax(value))  # the first instance of the largest violation
-        keys, found = ("instance", "prior", "channel", "refinement"), bool(value[best] > 0.0)
-        a, b, c = sizes[:3, best]
-        drawn = tables[best, 0, :a], tables[best, 1:1 + a, :b], tables[best, 5:5 + b, :c]
-        witness = dict(zip(keys, [best] + [t.tolist() for t in drawn])) if found else {}
-        results.append(VerificationResult(
-            f"axiom:{ax}:{family.name}", n_instances, float(value[best]), tolerance, witness))
-    return results
+    def witness(i, ax):  # the draws that the check of ax read
+        a, b, c, k, m = sizes[:, i]
+        drawn = {"instance": i, "prior": tables[i, 0, :a].tolist(),
+                 "channel": tables[i, 1:1 + a, :b].tolist(),
+                 "refinement": tables[i, 5:5 + b, :c].tolist()}
+        if ax in ("CVX", "QCVX"):
+            drawn.update(parts=tables[i, 9:9 + k, :a].tolist(), weights=weights[i, :k].tolist())
+        if gain is None:
+            drawn["gain"] = gains[i, :m, :a].tolist()
+        return drawn
+
+    return [_result(f"axiom:{ax}:{family.name}", violations[AXIOMS.index(ax)], n_instances,
+                    tolerance, lambda i, ax=ax: witness(i, ax)) for ax in axioms]
 
 
 def _grid_min_expected_loss(prior: Prior, alpha: float, resolution: int = 200) -> float:
@@ -185,80 +201,64 @@ def verify_dual_formulas(n_instances: int = 200, seed: int = 0) -> list[Verifica
     (a) generalized multiplicative leakage vs Arimoto mutual information,
     (b) pointwise aggregation vs the direct Sibson formula,
     (c) the two-parameter closed form vs the vulnerability-ratio route,
-    (d) the minimum expected loss closed form vs a grid-search oracle.
+    (d) the minimum expected loss closed form vs a grid-search oracle, on
+        the first max(10, n_instances // 20) instances only.
     """
     if n_instances < 1:
         raise ParameterError("a suite over no instances would pass vacuously")
-    rng = np.random.default_rng(seed)
     gain = SimplexGain()
-    worst = {k: (0.0, {}) for k in ("a", "b", "c", "d")}
 
-    def record(which: str, violation: float, info: dict) -> None:
-        violation = violation if math.isfinite(violation) else math.inf  # NaN fails too
-        if violation > worst[which][0]:
-            worst[which] = (violation, info)
+    def mean_route(f, closed, h=None):  # the simplex-gain leakage under (f, h) vs a closed form
+        return lambda prior, channel, hyper: abs(leakage(
+            gen_prior_vulnerability(prior, gain, f),
+            gen_posterior_vulnerability_avg(hyper, gain, f, h or f),
+        ) - closed(prior, channel, hyper))
 
-    for idx in range(n_instances):
+    def grid_gap(prior, a):
+        closed, _ = min_expected_alpha_loss(prior, a)
+        oracle = _grid_min_expected_loss(prior, a)
+        # the grid value can only sit above the true minimum; allow it a
+        # resolution-limited margin, none the other way
+        return max(closed - oracle, (oracle - closed) - 1e-3, 0.0)
+
+    # each check: name, tolerance, instances compared, per instance its (params, gap) pairs
+    with warnings.catch_warnings():  # h_alpha_beta(1.5, 2) is outside the axioms' range
+        warnings.simplefilter("ignore", FMeanValidityWarning)
+        checks = (
+            ("alpha-leakage-equals-arimoto", 1e-8, n_instances, [
+                ({"alpha": a},
+                 mean_route(f_alpha(a), lambda p, c, hyper, a=a: arimoto_mi(hyper, a)))
+                for a in (0.5, 2.0, math.inf)]),
+            ("sibson-via-pointwise", 1e-9, n_instances, [
+                ({"alpha": a}, lambda p, c, hyper, a=a:
+                    abs(sibson_via_pointwise(hyper, p, a) - sibson_mi(p, c, a)))
+                for a in (0.5, 2.0, 10.0)]),
+            ("alpha-beta-dual-route", 1e-8, n_instances, [
+                ({"alpha": a, "beta": b}, mean_route(
+                    f_alpha(a), lambda p, c, hyper, a=a, b=b: alpha_beta_leakage(p, c, a, b),
+                    h_alpha_beta(a, b) if b != 1.0 else None))
+                for a, b in ((1.5, 2.0), (2.0, 1.0), (2.0, 3.0), (5.0, 2.0), (2.0, math.inf))]),
+            ("min-alpha-loss-grid-oracle", 1e-8, min(n_instances, max(10, n_instances // 20)),
+             [({"alpha": a}, lambda p, c, hyper, a=a: grid_gap(p, a)) for a in (0.5, 2.0, 10.0)]),
+        )
+
+    rng = np.random.default_rng(seed)
+    info, gaps = [], [[] for _ in checks]
+    for i in range(n_instances):
         nx = int(rng.integers(2, 4))
         ny = int(rng.integers(2, 4))
         prior = Prior(rng.dirichlet(np.ones(nx)))
         channel = Channel(rng.dirichlet(np.ones(ny), size=nx))
         hyper = push(prior, channel)
-        info = {"instance": idx, "prior": prior.probs.tolist(), "channel": channel.matrix.tolist()}
+        info.append(dict(instance=i, prior=prior.probs.tolist(), channel=channel.matrix.tolist()))
+        for (_, _, count, comparisons), out in zip(checks, gaps):
+            if i < count:
+                out += [gap(prior, channel, hyper) for _, gap in comparisons]
 
-        for a in (0.5, 2.0, math.inf):
-            f = f_alpha(a)
-            route = leakage(
-                gen_prior_vulnerability(prior, gain, f),
-                gen_posterior_vulnerability_avg(hyper, gain, f, f),
-            )
-            record("a", abs(route - arimoto_mi(hyper, a)), {**info, "alpha": a})
-        for a in (0.5, 2.0, 10.0):
-            record(
-                "b",
-                abs(sibson_via_pointwise(hyper, prior, a) - sibson_mi(prior, channel, a)),
-                {**info, "alpha": a},
-            )
-        for a, b in ((1.5, 2.0), (2.0, 1.0), (2.0, 3.0), (5.0, 2.0), (2.0, math.inf)):
-            f = f_alpha(a)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", FMeanValidityWarning)
-                h = h_alpha_beta(a, b) if b != 1.0 else f
-            route = leakage(
-                gen_prior_vulnerability(prior, gain, f),
-                gen_posterior_vulnerability_avg(hyper, gain, f, h),
-            )
-            record(
-                "c",
-                abs(route - alpha_beta_leakage(prior, channel, a, b)),
-                {**info, "alpha": a, "beta": b},
-            )
-        if idx < max(10, n_instances // 20):
-            for a in (0.5, 2.0, 10.0):
-                closed, _ = min_expected_alpha_loss(prior, a)
-                oracle = _grid_min_expected_loss(prior, a)
-                # the grid value can only sit above the true minimum; allow
-                # it a resolution-limited margin, none the other way
-                violation = max(closed - oracle, (oracle - closed) - 1e-3, 0.0)
-                record("d", violation, {**info, "alpha": a})
-
-    names = {
-        "a": "alpha-leakage-equals-arimoto",
-        "b": "sibson-via-pointwise",
-        "c": "alpha-beta-dual-route",
-        "d": "min-alpha-loss-grid-oracle",
-    }
-    tolerances = {"a": 1e-8, "b": 1e-9, "c": 1e-8, "d": 1e-8}
-    return [
-        VerificationResult(
-            theorem_id=f"dual:{names[k]}",
-            instances_checked=n_instances,
-            max_violation=worst[k][0],
-            tolerance=tolerances[k],
-            worst_instance=worst[k][1],
-        )
-        for k in ("a", "b", "c", "d")
-    ]
+    # a check's gaps run instance-major, so gap i is comparison i % k of instance i // k
+    return [_result(f"dual:{name}", out, count, tolerance,
+                    lambda i, c=comparisons: {**info[i // len(c)], **c[i % len(c)][0]})
+            for (name, tolerance, count, comparisons), out in zip(checks, gaps)]
 
 
 def verify_maximal_equals_capacity(

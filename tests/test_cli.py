@@ -122,6 +122,17 @@ def test_reports_byte_identical(files, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_max_alpha_capacity_report_records_its_search_options(files, capsys):
+    argv = ["compute", "max-alpha-capacity", "--alpha", "2", "--channel", str(files["channel"])]
+    _, default = run_json(capsys, argv)
+    _, coarse = run_json(capsys, argv + ["--grid-resolution", "3", "--restarts", "2"])
+    assert default["params"] == {"alpha": 2.0, "grid_resolution": 60, "restarts": 12}
+    assert coarse["params"] == {"alpha": 2.0, "grid_resolution": 3, "restarts": 2}
+    # other measures record no search options
+    _, other = run_json(capsys, ["compute", "bayes-capacity", "--channel", str(files["channel"])])
+    assert other["params"] == {}
+
+
 def test_seed_from_environment(files, capsys, monkeypatch):
     monkeypatch.setenv("QIFKIT_SEED", "99")
     _, report = run_json(

@@ -134,6 +134,14 @@ def test_hyper_validates_inners():
         Hyper([0.5, 0.5], [[0.9, 0.2], [0.1, 0.9]])
 
 
+def test_hyper_needs_one_retained_output_per_outer_weight():
+    for retained in ((0,), (0, 1, 2), ()):
+        with pytest.raises(ValidationError, match="retained_outputs"):
+            Hyper([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], retained_outputs=retained)
+    hyper = Hyper([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], retained_outputs=[0, 2])
+    assert hyper.retained_outputs == (0, 2)
+
+
 
 GOOD = [0.5, 0.5]
 BAD_ROWS = {

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,16 @@ def test_f_alpha_zero_is_tagged_limit():
     assert spec.kind == "limit"
     with pytest.raises(ParameterError):
         spec.forward(1.0)
+
+
+def test_limit_specs_refuse_evaluation_by_their_own_name():
+    specs = {"f_alpha[0]": f_alpha(0.0), "ell[0]": ell_alpha(0.0),
+             "h_ab[2,inf]": h_alpha_beta(2.0, math.inf)}
+    for name, spec in specs.items():
+        assert spec.kind == "limit" and spec.name == name
+        for fn in (spec.forward, spec.inverse):
+            with pytest.raises(ParameterError, match=re.escape(name)):
+                fn(1.0)
 
 
 def test_roundtrip_on_sampled_domain(rng):

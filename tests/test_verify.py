@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qifkit import verify
-from qifkit.alpha import AlphaOrder, arimoto_mi
+from qifkit.alpha import AlphaOrder, arimoto_mi, min_expected_alpha_loss
 from qifkit.capacity import SimplexOptimizerConfig
 from qifkit.core import Channel, Prior, compose, ni_channel, push
 from qifkit.errors import ParameterError
@@ -448,6 +448,72 @@ def test_dual_formula_check_fails_a_nan_route(monkeypatch):
     assert nan_route.max_violation == math.inf
     assert nan_route.worst_instance["instance"] == 0 and nan_route.worst_instance["alpha"] == 0.5
     assert all(r.passed for r in results.values() if r is not nan_route)
+
+
+def test_dual_grid_oracle_reports_the_instances_it_compared(monkeypatch):
+    oracle_priors = []
+
+    def oracle(prior, alpha):  # the closed form itself, so each route passes
+        oracle_priors.append(prior)
+        return min_expected_alpha_loss(prior, alpha)[0]
+
+    monkeypatch.setattr(verify, "_grid_min_expected_loss", oracle)
+    for n_instances, compared in ((5, 5), (20, 10), (200, 10), (400, 20)):
+        oracle_priors.clear()
+        results = {r.theorem_id: r for r in verify_dual_formulas(n_instances, seed=0)}
+        assert len(oracle_priors) == 3 * compared  # three orders per instance
+        assert results.pop("dual:min-alpha-loss-grid-oracle").instances_checked == compared
+        assert [r.instances_checked for r in results.values()] == [n_instances] * 3
+
+
+def _drawn_gains(n_instances, seed):
+    """The gain matrix each finite_random suite instance draws, in the
+    suite's draw order."""
+    rng, gains = np.random.default_rng(seed), []
+    for _ in range(n_instances):
+        nx, ny, nz = (int(rng.integers(2, 5)) for _ in range(3))
+        rng.dirichlet(np.ones(nx))
+        rng.dirichlet(np.ones(ny), size=nx)
+        rng.dirichlet(np.ones(nz), size=ny)
+        gains.append(rng.uniform(0.0, 2.0, size=(int(rng.integers(2, 5)), nx)))
+        k = int(rng.integers(2, 4))
+        [rng.dirichlet(np.ones(nx)) for _ in range(k)]
+        rng.dirichlet(np.ones(k))
+    return gains
+
+
+def test_axiom_witnesses_replay_their_convexity_violation():
+    replayed = 0
+    for family in [classical_family()] + _finite_random_families():
+        gains = _drawn_gains(100, 1)
+        for result in run_axiom_suite(family, 100, seed=1, axioms=("CVX", "QCVX")):
+            witness = result.worst_instance
+            if result.max_violation == 0.0:
+                assert witness == {}
+                continue
+            gain = SimplexGain() if family.gain == "simplex" else IdentityGain()
+            if family.gain == "finite_random":
+                assert witness["gain"] == gains[witness["instance"]].tolist()
+                gain = FiniteMatrixGain(witness["gain"])
+            v_parts = [gen_prior_vulnerability(Prior(p), gain, family.f) for p in witness["parts"]]
+            mixed = Prior(np.dot(witness["weights"], witness["parts"]))
+            cvx = result.theorem_id.startswith("axiom:CVX:")
+            bound = np.dot(witness["weights"], v_parts) if cvx else max(v_parts)
+            gap = gen_prior_vulnerability(mixed, gain, family.f) - bound
+            assert abs(gap - result.max_violation) <= 1e-12, result.theorem_id
+            replayed += 1
+    assert replayed >= 3
+
+
+def test_finite_random_witnesses_hold_the_drawn_gain():
+    for family in _finite_random_families():
+        gains = _drawn_gains(300, 3)
+        for result in run_axiom_suite(family, 300, seed=3):
+            if result.worst_instance:
+                drawn = gains[result.worst_instance["instance"]]
+                assert np.shape(result.worst_instance["gain"]) == drawn.shape
+                assert result.worst_instance["gain"] == drawn.tolist()
+                assert drawn.shape[1] == len(result.worst_instance["prior"])
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
