@@ -50,23 +50,12 @@ class AlphaOrder:
         return AlphaOrder(v, OPEN_UNIT if v < 1.0 else FINITE_GT1)
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    """log sum exp over all entries: -inf entries add nothing, so all -inf
-    gives -inf; any +inf gives +inf and any NaN gives NaN."""
-    v = np.asarray(values, dtype=float)
-    v = v[v != -INF]
-    if v.size == 0:
-        return -INF
-    m = float(np.maximum.reduce(v))
-    if math.isinf(m):
-        return INF
-    return m + math.log(float(np.add.reduce(np.exp(v - m))))
-
-
 def _logsumexp_into(scratch: np.ndarray, axis: int) -> np.ndarray:
-    """:func:`_logsumexp` of each slice along ``axis`` of a float array that it
+    """log sum exp of each slice along ``axis`` of a float array that it
     overwrites: the slice maxima are subtracted, exponentiated and summed in place.
-    A finite maximum leaves its sum at least 1, so only other slices need errstate."""
+    -inf entries add nothing, so an all -inf slice gives -inf; any +inf gives +inf
+    and any NaN gives NaN.  A finite maximum leaves its sum at least 1, so only
+    other slices need errstate."""
     m = np.maximum.reduce(scratch, axis=axis, keepdims=True)
     finite = np.isfinite(m)
     if not (tame := np.count_nonzero(finite) == finite.size):
@@ -233,9 +222,8 @@ def min_expected_alpha_loss(prior: Prior, alpha) -> tuple[float, Prior]:
     entropy = renyi_entropy(prior, a)
     coeff = a.value / (a.value - 1.0)
     value = coeff * (1.0 - math.exp((1.0 - a.value) / a.value * entropy))
-    with np.errstate(divide="ignore"):
-        log_p = a.value * np.log(prior.probs)
-    tilted = np.exp(log_p - _logsumexp(log_p))
+    with np.errstate(divide="ignore"):  # p^alpha / sum p^alpha, the sum read off H_alpha
+        tilted = np.exp(a.value * np.log(prior.probs) - (1.0 - a.value) * entropy)
     return value, Prior(tilted)
 
 
@@ -257,4 +245,4 @@ def sibson_via_pointwise(hyper: Hyper, prior: Prior, alpha) -> float:
     if a.branch == ZERO:
         return float(gains.min())
     rate = 1.0 if a.branch == INFINITY else (a.value - 1.0) / a.value
-    return _logsumexp(np.log(hyper.outer) + rate * gains) / rate
+    return float(_logsumexp_into(np.log(hyper.outer) + rate * gains, -1)) / rate

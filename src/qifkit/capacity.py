@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha import AlphaOrder, _logsumexp, _logsumexp_into, _sibson
+from .alpha import FINITE_GT1, INFINITY, AlphaOrder, _logsumexp_into, _sibson
 from .core import Channel, Prior, _check_dims, _clean_rows
 from .errors import ParameterError
 from .fmeans import FMeanSpec, has_multiplicative_inverse
@@ -43,6 +43,8 @@ class SimplexOptimizerConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.ascent_tolerance <= 0:
             raise ParameterError("restarts must be >= 1 and tolerance positive")
+        if self.grid_resolution < 1 or self.max_iterations < 0 or self.seed < 0:
+            raise ParameterError("grid_resolution must be >= 1, max_iterations and seed >= 0")
         if any(int(n) < 2 for n in self.vertex_epsilon_sequence):
             raise ParameterError("vertex prior needs n >= 2")
 
@@ -76,23 +78,21 @@ def renyi_ldp(channel: Channel, alpha) -> float:
     """Renyi local-DP leakage: the largest order-alpha Renyi divergence
     between two rows of the channel.  Defined for alpha in (1, inf]."""
     a = AlphaOrder.of(alpha)
-    if a.branch not in ("finite_gt1", "infinity"):
+    if a.branch not in (FINITE_GT1, INFINITY):
         raise ParameterError(f"renyi_ldp needs alpha > 1, got {a.value}")
-    if a.branch == "infinity":
+    if a.branch == INFINITY:
         return ldp_leakage(channel)
-    C = channel.matrix
-    with np.errstate(divide="ignore"):
+    C, worst = channel.matrix, 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_C = np.log(C)
-    worst = 0.0
-    for x in range(C.shape[0]):
-        for xp in range(C.shape[0]):
-            with np.errstate(invalid="ignore"):
+        for x in range(C.shape[0]):
+            for xp in range(C.shape[0]):
                 terms = a.value * log_C[x] + (1.0 - a.value) * log_C[xp]
-            # zero numerator kills the term even against a zero denominator
-            terms = np.where(C[x] == 0.0, -INF, terms)
-            if np.any(np.isposinf(terms)):
-                return INF
-            worst = max(worst, _logsumexp(terms) / (a.value - 1.0))
+                # zero numerator kills the term even against a zero denominator
+                terms = np.where(C[x] == 0.0, -INF, terms)
+                if np.any(np.isposinf(terms)):
+                    return INF
+                worst = max(worst, float(_logsumexp_into(terms, -1)) / (a.value - 1.0))
     return worst
 
 
@@ -100,13 +100,13 @@ def _ab_orders(alpha, beta: float) -> tuple[AlphaOrder, float]:
     """The checked order alpha, and the factor in front of the log-sum (or
     of the log-max at beta = inf)."""
     a = AlphaOrder.of(alpha)
-    if a.branch not in ("finite_gt1", "infinity"):
+    if a.branch not in (FINITE_GT1, INFINITY):
         raise ParameterError(f"alpha must lie in (1, inf], got {a.value}")
     if not beta >= 1.0:
         raise ParameterError(f"beta must lie in [1, inf], got {beta}")
     if math.isinf(beta):
-        return a, 1.0 if a.branch == "infinity" else a.value / (a.value - 1.0)
-    return a, (1.0 / beta) if a.branch == "infinity" else a.value / ((a.value - 1.0) * beta)
+        return a, 1.0 if a.branch == INFINITY else a.value / (a.value - 1.0)
+    return a, (1.0 / beta) if a.branch == INFINITY else a.value / ((a.value - 1.0) * beta)
 
 
 def _ab_scores(terms: np.ndarray, log_R: np.ndarray, a: AlphaOrder, beta: float,
@@ -118,7 +118,7 @@ def _ab_scores(terms: np.ndarray, log_R: np.ndarray, a: AlphaOrder, beta: float,
     log sum_y R_y^(1-beta) M_y^beta, or log max_y M_y / R_y at beta = inf,
     before the order factor.  log_R must be finite where M_y = 0, which
     drops those outputs."""
-    log_M = (np.maximum.reduce(terms, axis=1) if a.branch == "infinity"
+    log_M = (np.maximum.reduce(terms, axis=1) if a.branch == INFINITY
              else _logsumexp_into(terms, 1) / a.value) - shift
     if math.isinf(beta):
         return np.maximum.reduce(log_M - log_R, axis=-1)
@@ -142,10 +142,10 @@ def alpha_beta_leakage(prior: Prior, channel: Channel, alpha, beta: float) -> fl
     with np.errstate(divide="ignore"):  # zero prior entries give -inf
         log_p, terms, log_py = np.log(prior.probs), np.log(C), np.log(p_y)
     terms += log_p[:, None]
-    if a.branch == "infinity":
+    if a.branch == INFINITY:
         return coeff * float(_ab_scores(terms[None], log_py, a, beta, float(log_p.max()))[0])
     terms *= a.value
-    z = _logsumexp(a.value * log_p) / a.value
+    z = float(_logsumexp_into(a.value * log_p, -1)) / a.value
     return coeff * float(_ab_scores(terms[None], log_py, a, beta, z)[0])
 
 
@@ -156,13 +156,13 @@ def _ab_capacity_scores(channel: Channel, alpha, beta: float):
     (a, coeff), C = _ab_orders(alpha, beta), channel.matrix
     with np.errstate(divide="ignore"):
         log_C = np.log(C)
-    scaled = log_C if a.branch == "infinity" else a.value * log_C
+    scaled = log_C if a.branch == INFINITY else a.value * log_C
     rows = np.zeros((1, 1, C.shape[1])) if beta == 1.0 else log_C[:, None, :]
 
     def scores(P: np.ndarray) -> np.ndarray:
         on = P > 0.0
         with np.errstate(divide="ignore"):
-            log_w = np.where(on, 0.0, -INF) if a.branch == "infinity" else np.log(P)
+            log_w = np.where(on, 0.0, -INF) if a.branch == INFINITY else np.log(P)
         log_R = np.where(on @ (C > 0.0), rows, 0.0)  # outputs the prior reaches
         return coeff * np.maximum.reduce(_ab_scores(log_w[:, :, None] + scaled, log_R, a, beta),
                                          axis=0)

@@ -149,7 +149,7 @@ def _parse_fmean(spec: str) -> FMeanSpec:
         if p == 1.0:
             return identity_fmean()
         # power exponents map onto the order-alpha family: e = (a-1)/a
-        if p >= 1.0 or p == 0.0:
+        if not p < 1.0 or p == 0.0:  # NaN fails p < 1 too
             raise CliError("power exponent must be nonzero and < 1 (or use identity)")
         return f_alpha(1.0 / (1.0 - p))
     raise CliError(f"unknown f-mean spec {spec!r} ({_FMEAN_FORMS})")

@@ -131,6 +131,9 @@ class Hyper:
         retained = tuple(range(out.size) if retained_outputs is None else retained_outputs)
         if len(retained) != out.size:
             raise ValidationError("retained_outputs must name one output per outer weight")
+        if not all(isinstance(i, (int, np.integer)) and prev < i
+                   for prev, i in zip((-1, *retained), retained)):
+            raise ValidationError("retained_outputs must be strictly increasing indices >= 0")
         object.__setattr__(self, "outer", out)
         object.__setattr__(self, "inners", inn)
         object.__setattr__(self, "retained_outputs", retained)

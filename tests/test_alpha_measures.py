@@ -166,6 +166,18 @@ def test_min_expected_alpha_loss_against_grid(rng):
             assert direct == pytest.approx(closed, abs=1e-10)
 
 
+def test_min_expected_alpha_loss_minimizer_is_the_tilted_prior(rng):
+    # p^alpha / sum p^alpha, written with the largest entry factored out
+    with_zero = rng.dirichlet(np.ones(6))
+    with_zero[2] = 0.0
+    for prior in (random_prior(rng, 6), Prior(with_zero / with_zero.sum())):
+        for a in (0.5, 2.0, 10.0, 1e3, 1e6):
+            powered = (prior.probs / prior.probs.max()) ** a
+            _, minimizer = min_expected_alpha_loss(prior, a)
+            assert np.allclose(minimizer.probs, powered / powered.sum(), rtol=0.0, atol=1e-12)
+            assert not minimizer.probs[prior.probs == 0.0].any()
+
+
 def test_pointwise_alpha_leakage_examples():
     u = Prior([0.5, 0.5])
     assert pointwise_alpha_leakage(u, u, 2) == pytest.approx(0.0, abs=1e-12)
@@ -203,6 +215,17 @@ def test_sibson_via_pointwise_matches_direct(rng):
             assert sibson_via_pointwise(hyper, prior, a) == pytest.approx(
                 sibson_mi(prior, channel, a), abs=1e-9
             )
+
+
+def test_sibson_mi_gives_the_stacks_bits(rng):
+    raw = rng.dirichlet(np.ones(6), size=20)
+    raw[4, 0] = 0.0
+    priors = [Prior(row / row.sum()) for row in raw]
+    P = np.stack([prior.probs for prior in priors])
+    channel = random_channel(rng, 6, 5)
+    for alpha in (0.0, 0.5, 1.0, 1.5, 2.0, 10.0, 1e3, 1e6, math.inf):
+        stacked = _sibson(P, channel.matrix, AlphaOrder.of(alpha))
+        assert [sibson_mi(prior, channel, alpha) for prior in priors] == stacked.tolist()
 
 
 def test_renyi_divergence_rows_keep_each_rows_rules():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qifkit import capacity
-from qifkit.alpha import AlphaOrder, _sibson, arimoto_mi, sibson_mi
+from qifkit.alpha import AlphaOrder, _renyi_divergences, _sibson, arimoto_mi, sibson_mi
 from qifkit.capacity import (
     SimplexOptimizerConfig,
     alpha_beta_capacity_objective,
@@ -64,6 +64,49 @@ def test_renyi_ldp_examples():
         renyi_ldp(bsc(0.1), 1.0)
     with pytest.raises(ParameterError):
         renyi_ldp(bsc(0.1), 0.5)
+
+
+def test_renyi_ldp_is_the_largest_row_divergence_bit_for_bit():
+    # one log-sum-exp: each pair reduces as _renyi_divergences reduces a row
+    rng = np.random.default_rng(21)
+    for n in (4, 16, 64):
+        C = rng.dirichlet(np.ones(n), size=n)
+        zero_column = C.copy()
+        zero_column[:, 1] = 0.0
+        scattered = C.copy()  # row 1 reaches an output row 0 misses: +inf
+        scattered[rng.random((n, n)) < 0.2] = 0.0
+        scattered[:, 0] += 0.1
+        scattered[0, 1], scattered[1, 1] = 0.0, 0.5
+        for matrix, finite in ((C, True), (zero_column, True), (scattered, False)):
+            channel = Channel(matrix / matrix.sum(axis=1, keepdims=True))
+            rows = channel.matrix
+            for alpha in (1.5, 2.0, 5.0):
+                a = AlphaOrder.of(alpha)
+                value = renyi_ldp(channel, alpha)
+                assert value == max(_renyi_divergences(rows, q, a).max() for q in rows)
+                assert math.isfinite(value) == finite
+
+
+def test_alpha_beta_objective_gives_the_stacks_bits(rng):
+    P = rng.dirichlet(np.ones(5), size=12)
+    P[3, 1] = 0.0
+    P /= P.sum(axis=1, keepdims=True)
+    channel = random_channel(rng, 5, 4)
+    for alpha, beta in ((2.0, 1.0), (2.0, 2.0), (5.0, 1.5), (3.0, math.inf),
+                        (math.inf, 2.0), (math.inf, math.inf)):
+        stacked = capacity._ab_capacity_scores(channel, alpha, beta)(P)
+        objective = alpha_beta_capacity_objective(channel, alpha, beta)
+        assert [objective(row) for row in P] == stacked.tolist()
+
+
+def test_optimizer_config_rejects_negative_budgets():
+    for fields in ({"grid_resolution": 0}, {"grid_resolution": -5}, {"max_iterations": -1},
+                   {"seed": -1}):
+        with pytest.raises(ParameterError, match="grid_resolution must be >= 1"):
+            SimplexOptimizerConfig(**fields)
+    # the benchmark's fixed search budget and an ascent-free search stay valid
+    SimplexOptimizerConfig(restarts=1, grid_resolution=20, max_iterations=3, seed=0)
+    SimplexOptimizerConfig(grid_resolution=1, max_iterations=0)
 
 
 def test_alpha_beta_leakage_examples(rng):

@@ -158,6 +158,8 @@ def test_validation_errors_exit_2(files, capsys, tmp_path, monkeypatch):
         == 2
     )
     channel = str(files["channel"])
+    four = tmp_path / "c4.csv"  # on 4 secrets the search skips its grid: only the config refuses
+    four.write_text("0.25,0.25,0.25,0.25\n" * 4)
     utf16 = tmp_path / "utf16.csv"
     utf16.write_bytes(b"\xff\xfe0\x00.\x005\x00")
     for argv in (
@@ -170,6 +172,8 @@ def test_validation_errors_exit_2(files, capsys, tmp_path, monkeypatch):
         ["verify", "dual", "--instances", "0"],
         ["verify", "dual", "--instances", "-3"],
         ["compute", "max-alpha-capacity", "--alpha", "2", "--channel", channel, "--seed", "-1"],
+        ["compute", "max-alpha-capacity", "--alpha", "2", "--channel", str(four),
+         "--grid-resolution", "-5"],
         ["verify", "dual", "--instances", "5", "--seed", "-1"],
     ):
         assert main(argv) == 2, argv
@@ -181,6 +185,14 @@ def test_validation_errors_exit_2(files, capsys, tmp_path, monkeypatch):
             assert main(argv + sum(_full_argv(measure, files), [])) == 2, (seed, measure)
             assert "must be a non-negative integer" in capsys.readouterr().err
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_nan_power_exponent_names_the_power_option(files, capsys):
+    with pytest.raises(CliError, match="power exponent must be nonzero and < 1"):
+        _parse_fmean("power:nan")
+    argv = ["compute", "mult-f-capacity", "--f", "power:nan", "--channel", str(files["channel"])]
+    assert main(argv) == 2
+    assert "power exponent" in capsys.readouterr().err
 
 
 def test_gain_matrix_from_csv(files, capsys, tmp_path):

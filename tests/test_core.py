@@ -142,6 +142,15 @@ def test_hyper_needs_one_retained_output_per_outer_weight():
     assert hyper.retained_outputs == (0, 2)
 
 
+def test_hyper_retained_outputs_are_strictly_increasing_indices():
+    for retained in ((1, 1), (-3, "a"), (2, 0), (0, 1.0), (-1, 0)):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            Hyper([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], retained_outputs=retained)
+    hyper = push(Prior([0.5, 0.5]), Channel([[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]]))
+    assert Hyper(hyper.outer, hyper.inners, hyper.retained_outputs).retained_outputs == (0, 2)
+    assert Hyper([1.0], [[1.0]], retained_outputs=np.array([4])).retained_outputs == (4,)
+
+
 
 GOOD = [0.5, 0.5]
 BAD_ROWS = {
