@@ -41,11 +41,17 @@ class SimplexOptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        counts = [(name, getattr(self, name))
+                  for name in ("restarts", "grid_resolution", "max_iterations", "seed")]
+        counts += [("vertex_epsilon_sequence", n) for n in self.vertex_epsilon_sequence]
+        for name, value in counts:
+            if not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must hold integers, got {value!r}")
         if self.restarts < 1 or self.ascent_tolerance <= 0:
             raise ParameterError("restarts must be >= 1 and tolerance positive")
         if self.grid_resolution < 1 or self.max_iterations < 0 or self.seed < 0:
             raise ParameterError("grid_resolution must be >= 1, max_iterations and seed >= 0")
-        if any(int(n) < 2 for n in self.vertex_epsilon_sequence):
+        if any(n < 2 for n in self.vertex_epsilon_sequence):
             raise ParameterError("vertex prior needs n >= 2")
 
 

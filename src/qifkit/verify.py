@@ -76,16 +76,26 @@ def alpha_family(alpha: float, gain: str = "simplex") -> MeasureFamily:
     return MeasureFamily(f"alpha[{alpha:g}]-{gain}", f, f, gain)
 
 
-def _result(theorem_id, violations, instances_checked, tolerance, witness) -> VerificationResult:
-    """A check's result from its violations in instance order: each clamped
-    at 0 (-0.0 reads 0.0), a NaN counting as +inf, and ``witness(i)`` taken
-    from the first instance of the largest violation when that is positive."""
+def _result(theorem_ids, violations, instances_checked, tolerance, witness) -> list:
+    """One result per row of checks x instances: each violation clamped at 0
+    (-0.0 reads 0.0), a NaN counting as +inf, and ``witness(row, i)`` taken from
+    the first instance of the row's largest violation when that is positive."""
     value = np.maximum(0.0, np.asarray(violations, dtype=float)) + 0.0
     value[~np.isfinite(value)] = math.inf
-    best = int(np.argmax(value))
-    largest = float(value[best])
-    return VerificationResult(theorem_id, instances_checked, largest, tolerance,
-                              witness(best) if largest > 0.0 else {})
+    best = value.argmax(axis=1)
+    largest = value[np.arange(len(value)), best].tolist()
+    return [VerificationResult(name, instances_checked, v, tolerance,
+                               witness(row, int(i)) if v > 0.0 else {})
+            for row, (name, i, v) in enumerate(zip(theorem_ids, best, largest))]
+
+
+def _dirichlet_rows(exponentials: np.ndarray) -> np.ndarray:
+    """Rows (the last axis) of unit exponentials made Dirichlet(1, ..., 1) rows
+    the way numpy's gamma path does it: each row times the reciprocal of its
+    left-to-right (cumulative) sum.  Padded zeros add exactly 0, so
+    ``standard_exponential(r * k)`` rows normalized here equal
+    ``dirichlet(np.ones(k), size=r)`` bit for bit."""
+    return exponentials * (1.0 / exponentials.cumsum(axis=-1)[..., -1:])
 
 
 def run_axiom_suite(
@@ -99,12 +109,17 @@ def run_axiom_suite(
     gain) draws: point-hyper equality, monotonicity, the two data-processing
     inequalities, prior convexity and quasi-convexity, and avg <= max.
 
-    Every instance is drawn first into zero-padded stacks of 4 secrets,
-    outputs and actions; a padded secret has no prior mass, so it never
-    weighs in, and the suite is scored as one stack.  A NaN violation
-    counts as +inf.  A witness holds the draws its check read: prior,
-    channel, refinement, the mixed ``parts`` and ``weights`` for CVX and
-    QCVX, and a "finite_random" ``gain``.
+    Each instance draws, in order: nx, ny, nz (``integers(2, 5)`` each); one
+    ``standard_exponential`` block for the prior, channel and refinement
+    rows; for "finite_random" the action count and a ``uniform(0, 2)`` gain;
+    k = ``integers(2, 4)``; one block for the k parts and their weights.
+    Every row is then normalized as numpy's Dirichlet(1, ..., 1) gamma path
+    does, so the draws equal a per-instance ``Generator.dirichlet`` loop bit
+    for bit.  Zero-padded to 4 secrets, outputs and actions (a padded secret
+    has no prior mass, so it never weighs in), the suite is scored as one
+    stack.  A NaN violation counts as +inf.  A witness holds the draws its
+    check read: prior, channel, refinement, the mixed ``parts`` and
+    ``weights`` for CVX and QCVX, and a "finite_random" ``gain``.
     """
     if n_instances < 1:
         raise ParameterError("a suite over no instances would pass vacuously")
@@ -114,25 +129,26 @@ def run_axiom_suite(
     if family.gain not in shared:
         raise ParameterError(f"unknown gain kind {family.gain!r}")
     gain, rng, n, pad = shared[family.gain], np.random.default_rng(seed), n_instances, np.arange(4)
-    ones = [np.ones(k) for k in range(5)]
-    # per instance: prior, 4 channel rows, 4 refinement rows, 3 parts, as drawn
-    tables, weights, gains = np.zeros((n, 12, 4)), np.zeros((n, 3)), np.empty((n, 4, 4))
-    sizes = np.zeros((5, n), dtype=int)  # nx, ny, nz, parts, actions
-    for i, t in enumerate(tables):
-        nx, ny, nz = sizes[:3, i] = [int(rng.integers(2, 5)) for _ in range(3)]
-        t[0, :nx] = rng.dirichlet(ones[nx])
-        t[1:1 + nx, :ny] = rng.dirichlet(ones[ny], size=nx)
-        t[5:5 + ny, :nz] = rng.dirichlet(ones[nz], size=ny)
+    exponentials, sizes, gains = [], [], np.empty((n, 4, 4))
+    for i in range(n):
+        nx, ny, nz = (int(rng.integers(2, 5)) for _ in range(3))
+        exponentials.append(rng.standard_exponential(nx + nx * ny + ny * nz))
         if gain is None:  # the padding repeats a drawn action row and secret column
-            sizes[4, i] = m = int(rng.integers(2, 5))
-            g = rng.uniform(0.0, 2.0, size=(m, nx))
+            g = rng.uniform(0.0, 2.0, size=(int(rng.integers(2, 5)), nx))
             gains[i] = g[np.minimum(pad, len(g) - 1)][:, np.minimum(pad, nx - 1)]
-        sizes[3, i] = k = int(rng.integers(2, 4))
-        for j in range(k):
-            t[9 + j, :nx] = rng.dirichlet(ones[nx])
-        weights[i, :k] = rng.dirichlet(ones[k])
+        k = int(rng.integers(2, 4))
+        exponentials.append(rng.standard_exponential(k * (nx + 1)))
+        sizes.append((nx, ny, nz, k, len(g) if gain is None else 0))
+    sizes = np.array(sizes).T  # nx, ny, nz, parts, actions
+    # per instance: prior, 4 channel rows, 4 refinement rows, 3 parts, weights;
+    # the drawn cells in row-major order are the draws in their order
+    table = np.zeros((n, 13, 4))
+    width = np.repeat(sizes[[0, 1, 2, 0, 3]].T, [1, 4, 4, 3, 1], axis=1)  # each row's draws
     one, (nx, ny, _, k) = np.ones((n, 1), dtype=bool), sizes[:4, :, None] > pad  # drawn rows
-    drawn, parts = np.hstack([one, nx, ny, k[:, :3]]), k[:, :3]
+    drawn, parts = np.hstack([one, nx, ny, k[:, :3], one]), k[:, :3]
+    table[drawn[:, :, None] & (pad < width[:, :, None])] = np.concatenate(exponentials)
+    table[drawn] = _dirichlet_rows(table[drawn])
+    tables, weights, drawn = table[:, :12], table[:, 12, :3], drawn[:, :12]
     tables[drawn] = _clean_rows(tables[drawn], "drawn table", rows=True)
     # then each instance's composed channel and mixed prior
     derived = np.concatenate([tables[:, 1:5] @ tables[:, 5:9],
@@ -173,8 +189,9 @@ def run_axiom_suite(
             drawn["gain"] = gains[i, :m, :a].tolist()
         return drawn
 
-    return [_result(f"axiom:{ax}:{family.name}", violations[AXIOMS.index(ax)], n_instances,
-                    tolerance, lambda i, ax=ax: witness(i, ax)) for ax in axioms]
+    return _result([f"axiom:{ax}:{family.name}" for ax in axioms],
+                   violations[[AXIOMS.index(ax) for ax in axioms]], n_instances, tolerance,
+                   lambda row, i: witness(i, axioms[row]))
 
 
 def _grid_min_expected_loss(prior: Prior, alpha: float, resolution: int = 200) -> float:
@@ -256,8 +273,8 @@ def verify_dual_formulas(n_instances: int = 200, seed: int = 0) -> list[Verifica
                 out += [gap(prior, channel, hyper) for _, gap in comparisons]
 
     # a check's gaps run instance-major, so gap i is comparison i % k of instance i // k
-    return [_result(f"dual:{name}", out, count, tolerance,
-                    lambda i, c=comparisons: {**info[i // len(c)], **c[i % len(c)][0]})
+    return [_result([f"dual:{name}"], [out], count, tolerance,
+                    lambda _, i, c=comparisons: {**info[i // len(c)], **c[i % len(c)][0]})[0]
             for (name, tolerance, count, comparisons), out in zip(checks, gaps)]
 
 
@@ -314,16 +331,17 @@ def verify_maximal_equals_capacity(
     # Bayes multiplicative leakage is the Arimoto information of order inf
     order = AlphaOrder.of(math.inf if classical else f.alpha)
 
-    # the stochastic side channels, drawn n_u, pi, conditional per draw; each
-    # conditional is zero-padded to u_max symbols of U that never occur
+    # the stochastic side channels, per draw n_u, then one exponential block for pi and
+    # the conditional rows; each conditional is zero-padded to u_max unused symbols of U
     rng = np.random.default_rng(cfg.seed)
     n_us = []
     pis = np.empty((n_stochastic, n_x))
     conditionals = np.zeros((n_stochastic, n_x, u_max))
     for k in range(n_stochastic):
         n_us.append(int(rng.integers(2, u_max + 1)))
-        pis[k] = rng.dirichlet(np.ones(n_x))
-        conditionals[k, :, : n_us[k]] = rng.dirichlet(np.ones(n_us[k]), size=n_x)
+        block = rng.standard_exponential(n_x * (n_us[k] + 1))
+        pis[k], conditionals[k, :, : n_us[k]] = block[:n_x], block[n_x:].reshape(n_x, -1)
+    pis, conditionals = _dirichlet_rows(pis), _dirichlet_rows(conditionals)
 
     # H_alpha(U) and H_alpha(U | Y) ignore labels: the restricted-growth
     # strings, one per partition, each its first labeling in product order.

@@ -109,6 +109,26 @@ def test_optimizer_config_rejects_negative_budgets():
     SimplexOptimizerConfig(grid_resolution=1, max_iterations=0)
 
 
+def test_optimizer_config_rejects_non_integer_budgets():
+    # a float budget used to pass here and fail at search time with a TypeError
+    for field in ("restarts", "grid_resolution", "max_iterations", "seed"):
+        for value in (2.5, 3.0, "3"):
+            with pytest.raises(ParameterError, match=f"^{field} must hold integers"):
+                SimplexOptimizerConfig(**{field: value})
+    for sequence in ((10, 2.5), (10.0,)):
+        with pytest.raises(ParameterError, match="^vertex_epsilon_sequence must hold integers"):
+            SimplexOptimizerConfig(vertex_epsilon_sequence=sequence)
+    # Python and numpy integers alike, with the same search
+    channel = Channel([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]])
+    python = SimplexOptimizerConfig(restarts=2, grid_resolution=5, max_iterations=4, seed=3,
+                                    vertex_epsilon_sequence=(10, 100))
+    numpy_ints = SimplexOptimizerConfig(
+        restarts=np.int64(2), grid_resolution=np.int32(5), max_iterations=np.uint8(4),
+        seed=np.int64(3), vertex_epsilon_sequence=(np.int16(10), np.int64(100)))
+    assert (maximal_alpha_leakage(channel, 2.0, numpy_ints)
+            == maximal_alpha_leakage(channel, 2.0, python))
+
+
 def test_alpha_beta_leakage_examples(rng):
     for _ in range(30):
         nx, ny = rng.integers(2, 5, size=2)

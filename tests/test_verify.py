@@ -219,6 +219,44 @@ def test_equivalence_check_scores_the_stochastic_draws():
     assert result.worst_instance["lhs"] == pytest.approx(api, abs=1e-12)
 
 
+def test_dirichlet_rows_follow_numpy_gamma_path():
+    # every suite draw rests on this: numpy's Dirichlet(1, ..., 1) draws k unit
+    # exponentials per row and scales the row by 1 / (its left-to-right sum)
+    for seed, k, r in product(range(200), (2, 3, 4), range(1, 5)):
+        want = np.random.default_rng(seed).dirichlet(np.ones(k), size=r)
+        exponentials = np.random.default_rng(seed).standard_exponential(r * k).reshape(r, k)
+        padded = np.zeros((r, 4))
+        padded[:, :k] = exponentials
+        for got in (verify._dirichlet_rows(exponentials), verify._dirichlet_rows(padded)[:, :k]):
+            assert got.tobytes() == want.tobytes(), (
+                f"numpy's Dirichlet gamma-path contract no longer holds (seed {seed}, k {k}, "
+                f"r {r}): dirichlet(np.ones(k), size=r) differs from standard_exponential(r * k) "
+                "rows each times the reciprocal of its left-to-right sum")
+
+
+def test_equivalence_check_draws_match_a_dirichlet_loop(monkeypatch):
+    normalized, inner = [], verify._dirichlet_rows
+    monkeypatch.setattr(verify, "_dirichlet_rows",
+                        lambda rows: normalized.append(inner(rows)) or normalized[-1])
+    ident = identity_fmean()
+    for n_x, u_max in ((2, 2), (3, 4)):
+        channel = random_channel(np.random.default_rng(n_x), n_x, 3)
+        for seed in range(50):
+            normalized.clear()
+            config = SimplexOptimizerConfig(restarts=1, grid_resolution=1, seed=seed)
+            verify_maximal_equals_capacity(channel, IdentityGain(), ident, ident, (n_x, u_max),
+                                           config)
+            pis, conditionals = normalized
+            assert pis.shape == (40, n_x) and conditionals.shape == (40, n_x, u_max)
+            rng = np.random.default_rng(seed)
+            for pi, conditional in zip(pis, conditionals):
+                n_u = int(rng.integers(2, u_max + 1))
+                assert pi.tobytes() == rng.dirichlet(np.ones(n_x)).tobytes()
+                drawn = rng.dirichlet(np.ones(n_u), size=n_x)
+                assert conditional[:, :n_u].tobytes() == drawn.tobytes()
+                assert not conditional[:, n_u:].any()
+
+
 def test_batch_kernel_matches_scalar_api(rng):
     priors = rng.dirichlet(np.ones(3), size=8)
     channel = random_channel(rng, 3, 4)
