@@ -2,9 +2,12 @@
 
 The order is carried as an :class:`AlphaOrder` with an exact branch tag so
 that the removable singularities at 0, 1 and infinity never reach the
-generic formulas.  Sums of powers are evaluated in the log domain, which
-keeps the generic branches stable up to orders around 1e6 (used by the
-limit-continuity tests).
+generic formulas.  At orders 1/2 and 2, where numpy takes p**alpha and
+s**(1/alpha) as a square root and a square, the Renyi-entropy, Arimoto and
+Sibson kernels sum powers in the linear domain, with no log of a zero entry
+(their docstrings bound what underflow can cost).  Every other sum of powers
+is evaluated in the log domain, which keeps the generic branches stable up
+to orders around 1e6 (used by the limit-continuity tests).
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from .core import Channel, Hyper, Prior, _check_dims
 from .errors import DimensionMismatch, ParameterError
 
 INF = math.inf
+
+_LINEAR_ORDERS = (0.5, 2.0)  # numpy takes p**alpha and p**(1/alpha) as sqrt and square
 
 ZERO = "zero"
 OPEN_UNIT = "open_unit"
@@ -74,17 +79,23 @@ def _shannon(p: np.ndarray) -> np.ndarray:
 
 
 def _renyi_entropies(P: np.ndarray, a: AlphaOrder) -> np.ndarray:
-    """Renyi entropy of each distribution along the last axis of P."""
+    """Renyi entropy of each distribution along the last axis of P.  While
+    alpha log|X| < 700 its sum needs no shift (p_max^alpha >= |X|^-alpha):
+    orders 1/2 and 2 sum P**alpha (a square root or square, zeros included),
+    others exp(alpha log P).  An all-zero (padded) row gives log 0, silently."""
     if a.branch == ZERO:
         return np.log((P > 0).sum(axis=-1))
     if a.branch == ONE:
         return _shannon(P)
     if a.branch == INFINITY:
         return -np.log(P.max(axis=-1))
+    unshifted = a.value * math.log(P.shape[-1]) < 700.0
     with np.errstate(divide="ignore"):
+        if unshifted and a.value in _LINEAR_ORDERS:
+            return np.log((P ** a.value).sum(axis=-1)) / (1.0 - a.value)
         log_p = np.log(P)
         log_p *= a.value
-        if a.value * math.log(P.shape[-1]) < 700.0:  # p_max^alpha >= |X|^-alpha needs no shift
+        if unshifted:
             return np.log(np.exp(log_p, out=log_p).sum(axis=-1)) / (1.0 - a.value)
     return _logsumexp_into(log_p, -1) / (1.0 - a.value)
 
@@ -95,7 +106,9 @@ def _arimoto(outer: np.ndarray, inners: np.ndarray, a: AlphaOrder) -> tuple:
     (..., |Y|, |X|), secret axis last, a weight-0 row all zero.  H_alpha(X | Y)
     is the Kolmogorov-Nagumo mean of the posteriors' entropies,
     alpha/(1-alpha) log sum_y p_y exp((1-alpha)/alpha H_alpha(X | y)): the
-    average at order 1, the largest at 0 and -log sum_y p_y max_x at inf."""
+    average at order 1, the largest at 0 and -log sum_y p_y max_x at inf.
+    At orders 1/2 and 2 the mean sums p_y exp(rate H_alpha(X | y)) with no
+    shift: each exponential is a posterior's alpha-norm, in [|X|^-1/2, |X|]."""
     h_x = _renyi_entropies((outer[..., None, :] @ inners)[..., 0, :], a)
     if a.branch == ZERO:
         return h_x, np.log((inners > 0.0).sum(axis=-1).max(axis=-1))
@@ -105,7 +118,9 @@ def _arimoto(outer: np.ndarray, inners: np.ndarray, a: AlphaOrder) -> tuple:
     if a.branch == ONE:
         return h_x, (outer * h_post).sum(axis=-1)
     rate = (1.0 - a.value) / a.value
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):  # a weight-0 row adds 0; all-zero weights give log 0
+        if a.value in _LINEAR_ORDERS:
+            return h_x, np.log((outer * np.exp(rate * h_post)).sum(axis=-1)) / rate
         return h_x, _logsumexp_into(np.log(outer) + rate * h_post, -1) / rate
 
 
@@ -157,7 +172,15 @@ def arimoto_mi(hyper: Hyper, alpha) -> float:
 
 def _sibson(P: np.ndarray, C: np.ndarray, a: AlphaOrder) -> np.ndarray:
     """Sibson mutual information of each prior in a stack (n, |X|) through
-    the channel matrix C (|X|, |Y|), in nats.  Zero prior entries drop out.
+    the channel matrix C (|X|, |Y|), in nats: alpha/(alpha-1) log F with
+    F = sum_y (sum_x pi_x C_xy^alpha)^(1/alpha).  Zero prior entries drop out.
+    At orders 1/2 and 2 F is summed directly, with no shift: each inner
+    sum is at most 1 and loses at most |X| 2^-1022 to underflow, so F loses
+    at most |Y| (|X| 2^-1022)^(1/alpha) of F >= 1 at alpha > 1, and
+    |Y| |X| 2^-1022 / alpha of F >= |X|^(1-1/alpha) (the value is at most
+    log|X|) at alpha < 1.  The product is batched per row, (n, 1, |X|) @
+    C^alpha: a plain P @ C^alpha blocks by the stack height, which would
+    move a row's bits.  Other orders run in the log domain.
     """
     if a.branch == INFINITY:
         return np.log(np.where(P[:, :, None] > 0.0, C, 0.0).max(axis=1).sum(axis=1))
@@ -170,7 +193,11 @@ def _sibson(P: np.ndarray, C: np.ndarray, a: AlphaOrder) -> np.ndarray:
         reached = on.astype(float) @ (C > 0.0)
         mass = np.minimum((P @ (C > 0.0)).max(axis=1), 1.0)
         return np.where(reached.max(axis=1) == on.sum(axis=1), 0.0, 0.0 - np.log(mass))
-    with np.errstate(divide="ignore"):  # log pi_x + alpha log C_xy, one scratch per prior
+    with np.errstate(divide="ignore"):  # log 0 of a zero entry or an all-zero prior row
+        if a.value in _LINEAR_ORDERS:
+            F = (((P[:, None, :] @ C ** a.value)[:, 0, :]) ** (1.0 / a.value)).sum(axis=1)
+            return np.log(F) * a.value / (a.value - 1.0)
+        # log pi_x + alpha log C_xy, one scratch per prior
         terms = np.log(C, out=np.empty((len(P),) + C.shape))
         terms *= a.value
         terms += np.log(P)[:, :, None]

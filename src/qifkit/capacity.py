@@ -11,6 +11,7 @@ for a user objective scored one prior at a time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +42,19 @@ class SimplexOptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not np.iterable(self.vertex_epsilon_sequence):
+            raise ParameterError("vertex_epsilon_sequence must be a sequence of integers, "
+                                 f"got {self.vertex_epsilon_sequence!r}")
+        if not isinstance(self.ascent_tolerance, numbers.Real):
+            raise ParameterError("ascent_tolerance must be a real number, "
+                                 f"got {self.ascent_tolerance!r}")
         counts = [(name, getattr(self, name))
                   for name in ("restarts", "grid_resolution", "max_iterations", "seed")]
         counts += [("vertex_epsilon_sequence", n) for n in self.vertex_epsilon_sequence]
         for name, value in counts:
             if not isinstance(value, (int, np.integer)):
                 raise ParameterError(f"{name} must hold integers, got {value!r}")
-        if self.restarts < 1 or self.ascent_tolerance <= 0:
+        if self.restarts < 1 or not self.ascent_tolerance > 0:  # NaN too: no step would pass
             raise ParameterError("restarts must be >= 1 and tolerance positive")
         if self.grid_resolution < 1 or self.max_iterations < 0 or self.seed < 0:
             raise ParameterError("grid_resolution must be >= 1, max_iterations and seed >= 0")

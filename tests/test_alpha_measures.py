@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from qifkit import alpha as alpha_module
 from qifkit.alpha import (
     AlphaOrder,
+    _arimoto,
+    _renyi_entropies,
     _sibson,
     alpha_loss,
     arimoto_conditional_entropy,
@@ -430,3 +434,98 @@ def test_large_channel_kernels_match_linear_closed_forms(n):
     value = alpha_beta_leakage(prior, channel, 1e6, 2.0)
     assert math.isfinite(value)
     assert value == pytest.approx(alpha_beta_leakage(prior, channel, math.inf, 2.0), abs=1e-4)
+
+
+def _log_sum_exp(terms, axis):
+    """log sum exp along an axis; -inf terms add nothing, an all -inf slice gives -inf."""
+    top = terms.max(axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(terms - top).sum(axis=axis)) + top.squeeze(axis)
+
+
+def _log_domain_forms(p, C, a):
+    """H_a(X), H_a(X | Y) and Sibson's information of prior p through C at a
+    finite order, from each entry's log (zeros at -inf) and shifted sums."""
+    with np.errstate(divide="ignore"):
+        log_p, log_C = np.log(p), np.log(C)
+    h_x = _log_sum_exp(a * log_p, 0) / (1.0 - a)
+    # H_a(X | Y) = a/(1-a) log sum_y (sum_x J_xy^a)^(1/a), J = p C
+    h_cond = a / (1.0 - a) * _log_sum_exp(_log_sum_exp(a * (log_p[:, None] + log_C), 0) / a, 0)
+    sibson = a / (a - 1.0) * _log_sum_exp(_log_sum_exp(log_p[:, None] + a * log_C, 0) / a, 0)
+    return h_x, h_cond, sibson
+
+
+def _assert_log_domain_forms(prior, channel):
+    hyper = push(prior, channel)
+    for a in (0.5, 2.0):
+        h_x, h_cond, sibson = _log_domain_forms(prior.probs, channel.matrix, a)
+        assert renyi_entropy(prior, a) == pytest.approx(h_x, rel=1e-12, abs=0)
+        assert arimoto_conditional_entropy(hyper, a) == pytest.approx(h_cond, rel=1e-12, abs=0)
+        assert arimoto_mi(hyper, a) == pytest.approx(h_x - h_cond, rel=1e-12, abs=0)
+        assert sibson_mi(prior, channel, a) == pytest.approx(sibson, rel=1e-12, abs=0)
+
+
+def test_linear_orders_match_the_log_domain_on_a_sparse_channel():
+    rng = np.random.default_rng(7)
+    C = rng.dirichlet(np.ones(256), size=256)
+    C[rng.random(C.shape) < 0.3] = 0.0
+    channel = Channel(C / C.sum(axis=1, keepdims=True))
+    assert 0.29 < (channel.matrix == 0.0).mean() < 0.31
+    _assert_log_domain_forms(Prior(rng.dirichlet(np.ones(256))), channel)
+
+
+def test_linear_orders_match_the_log_domain_where_powers_underflow():
+    # 1e-200**2 and (5e-324)**2 flush to 0 and 5e-324 is subnormal; the
+    # middle output is reached only through such entries
+    channel = Channel([[0.5, 1e-200, 0.5], [5e-324, 5e-324, 1.0], [0.7, 1e-200, 0.3],
+                       [0.2, 5e-324, 0.8]])
+    for probs in ([0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]):
+        _assert_log_domain_forms(Prior(probs), channel)
+
+
+def test_linear_orders_match_the_log_domain_on_priors_with_zeros(rng):
+    channel = random_channel(rng, 6, 5)
+    for probs in ([0.5, 0.0, 0.25, 0.0, 0.25, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.3, 0.3, 0.0, 0.0, 0.4]):
+        _assert_log_domain_forms(Prior(probs), channel)
+
+
+def test_linear_orders_keep_padded_rows_silent():
+    # a zero-padded row (weight 0, or an all-zero prior) gives the values it
+    # gave in the log domain and raises no RuntimeWarning
+    outer = np.array([0.3, 0.7, 0.0])
+    inners = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.0, 0.0, 0.0]])
+    C = np.array([[0.9, 0.1], [0.4, 0.6], [0.0, 1.0]])
+    P = np.array([[0.2, 0.3, 0.5], [0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, zero_row in ((0.5, -math.inf), (2.0, math.inf)):
+            order = AlphaOrder.of(a)
+            assert _renyi_entropies(inners, order)[2] == zero_row
+            padded, unpadded = _arimoto(outer, inners, order), _arimoto(outer[:2], inners[:2], order)
+            assert padded == pytest.approx(unpadded, rel=1e-15, abs=0)
+            stacked = _arimoto(np.stack([outer, 0.0 * outer]), np.stack([inners, inners]), order)
+            assert stacked[1][1] == -math.inf / ((1.0 - a) / a)  # log 0 over the rate
+            sibson = _sibson(P, C, order)
+            assert sibson[0] == pytest.approx(sibson_mi(Prior(P[0]), Channel(C), a), rel=1e-15)
+            assert sibson[1] == -math.inf * a / (a - 1.0)
+
+
+def test_linear_orders_skip_the_log_sum_exp(monkeypatch, rng):
+    # orders 1/2 and 2 sum powers directly; 1.5 and 1e6 still shift in the log domain
+    calls = []
+    real = alpha_module._logsumexp_into
+
+    def counted(scratch, axis):
+        calls.append(axis)
+        return real(scratch, axis)
+
+    monkeypatch.setattr(alpha_module, "_logsumexp_into", counted)
+    prior, channel = random_prior(rng, 5), random_channel(rng, 5, 4)
+    hyper = push(prior, channel)
+    for a, shifted in ((0.5, False), (2.0, False), (1.5, True), (1e6, True)):
+        for measure, args in ((sibson_mi, (prior, channel)), (arimoto_mi, (hyper,))):
+            calls.clear()
+            measure(*args, a)
+            assert bool(calls) == shifted, (measure.__name__, a)

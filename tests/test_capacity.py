@@ -129,6 +129,24 @@ def test_optimizer_config_rejects_non_integer_budgets():
             == maximal_alpha_leakage(channel, 2.0, python))
 
 
+def test_optimizer_config_rejects_a_scalar_vertex_sequence():
+    # a scalar used to raise a bare TypeError ("'int' object is not iterable")
+    with pytest.raises(ParameterError, match="^vertex_epsilon_sequence must be a sequence"):
+        SimplexOptimizerConfig(vertex_epsilon_sequence=10)
+    assert SimplexOptimizerConfig(vertex_epsilon_sequence=[10]).vertex_epsilon_sequence == [10]
+
+
+def test_optimizer_config_rejects_a_non_numeric_tolerance():
+    # a string used to raise a bare TypeError from the "<= 0" comparison
+    with pytest.raises(ParameterError, match="^ascent_tolerance must be a real number"):
+        SimplexOptimizerConfig(ascent_tolerance="1e-3")
+    # a NaN tolerance used to pass and make the ascent reject every step
+    with pytest.raises(ParameterError, match="tolerance positive"):
+        SimplexOptimizerConfig(ascent_tolerance=math.nan)
+    SimplexOptimizerConfig(ascent_tolerance=np.float32(1e-6))
+    SimplexOptimizerConfig(ascent_tolerance=1)
+
+
 def test_alpha_beta_leakage_examples(rng):
     for _ in range(30):
         nx, ny = rng.integers(2, 5, size=2)
