@@ -125,8 +125,6 @@ def _parse_gain(spec: str, n_secrets: int):
 
 
 def _parse_number(text: str) -> float:
-    if text in ("inf", "infinity", "Inf"):
-        return math.inf
     try:
         return float(text)
     except ValueError as exc:

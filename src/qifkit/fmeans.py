@@ -1,10 +1,12 @@
 """Kolmogorov-Nagumo mean functions and their analytic metadata.
 
-Power-shaped means are stored with their exponent (not as opaque callables)
-so that closed-form code paths can pattern-match on structure.  Limit orders
-that have no usable pointwise forward map (the order-0 power family, the
-beta = infinity posterior mean) are represented as tagged limit specs whose
-callables refuse evaluation; the consuming code dispatches on the tag.
+Power and exponential means are stored with their exponent or rate (not as
+opaque callables) so that closed-form code paths can pattern-match on
+structure, and every other property of a catalog mean is read off that one
+number.  Limit orders that have no usable pointwise forward map (exponent or
+rate +-infinity: the order-0 means, the beta = infinity posterior mean) are
+limit specs whose callables refuse evaluation; the consuming code dispatches
+on the kind and the infinite exponent or rate.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ class FMeanSpec:
     """A strictly monotonic continuous mean function with its inverse.
 
     ``kind`` is one of "power" (forward t -> t**power), "log",
-    "exp" (forward t -> exp(exp_rate * t)), "limit" (no pointwise map) or
-    "custom".  ``alpha``/``beta`` tag members of the order-parameterized
-    catalog families so that theorem code can recognize them.
+    "exp" (forward t -> exp(exp_rate * t)), "limit" (no pointwise map; its
+    ``power`` or ``exp_rate`` is +-inf) or "custom".  ``alpha`` is the order
+    of an ``f_alpha`` or ``ell_alpha`` mean and None otherwise; everything
+    else about a catalog mean follows from its ``power`` or ``exp_rate``.
     """
 
     name: str
@@ -62,7 +65,6 @@ class FMeanSpec:
     power: float | None = None
     exp_rate: float | None = None
     alpha: float | None = None
-    beta: float | None = None
 
     @property
     def is_affine(self) -> bool:
@@ -73,34 +75,46 @@ class FMeanSpec:
         return self.direction == INCREASING
 
 
-def _power_spec(name, p, direction, inverse_convexity, **tags) -> FMeanSpec:
-    return FMeanSpec(
-        name=name,
-        forward=lambda t, _p=p: _pow(t, _p),
-        inverse=lambda s, _p=p: _pow(s, 1.0 / _p),
-        direction=direction,
-        inverse_convexity=inverse_convexity,
-        domain=(0.0, math.inf),
-        kind="power",
-        power=float(p),
-        **tags,
-    )
+def _catalog_spec(name, kind, x, affine_at, increasing, forward, inverse, domain,
+                  **params) -> FMeanSpec:
+    """The spec of exponent or rate x: its inverse is affine at x = affine_at, concave above
+    and convex below, and at x = +-inf the spec is a limit that refuses evaluation."""
+    if math.isinf(x):
+        def refuse(_t):
+            raise ParameterError(
+                f"{name} is a tagged limit without a usable pointwise map; "
+                "use the dedicated closed-form branch"
+            )
+
+        forward = inverse = refuse
+        kind = "limit"
+    convexity = AFFINE if x == affine_at else (CONCAVE if x > affine_at else CONVEX)
+    return FMeanSpec(name, forward, inverse, INCREASING if increasing else DECREASING,
+                     convexity, domain, kind, **params)
 
 
-def _limit_spec(name, direction, inverse_convexity, domain, **tags) -> FMeanSpec:
-    def refuse(_t):
-        raise ParameterError(
-            f"{name} is a tagged limit without a usable pointwise map; "
-            "use the dedicated closed-form branch"
-        )
+def _power_spec(name, p, alpha=None) -> FMeanSpec:
+    """t -> t**p on (0, inf), increasing for p > 0; its inverse s**(1/p) is affine at p = 1."""
+    return _catalog_spec(name, "power", p, 1.0, p > 0.0, lambda t: _pow(t, p),
+                         lambda s: _pow(s, 1.0 / p), (0.0, math.inf), power=float(p), alpha=alpha)
 
-    return FMeanSpec(name, refuse, refuse, direction, inverse_convexity, domain,
-                     kind="limit", **tags)
+
+def _exp_spec(name, r, alpha) -> FMeanSpec:
+    """t -> exp(r t) on the real line, increasing for r >= 0; at r = 0 the mean is plain
+    averaging, served by the identity map."""
+    if r == 0.0:
+        forward = inverse = lambda t: np.asarray(t, dtype=float)
+    else:
+        coeff = 1.0 / r
+        forward = lambda t: np.exp(r * np.asarray(t, dtype=float))
+        inverse = lambda s: coeff * _log(s)
+    return _catalog_spec(name, "exp", r, 0.0, r >= 0.0, forward, inverse,
+                         (-math.inf, math.inf), exp_rate=float(r), alpha=alpha)
 
 
 def identity_fmean() -> FMeanSpec:
     """Plain averaging: the affine mean that recovers classical measures."""
-    return _power_spec("identity", 1.0, INCREASING, AFFINE)
+    return _power_spec("identity", 1.0)
 
 
 def f_alpha(alpha: float) -> FMeanSpec:
@@ -108,14 +122,11 @@ def f_alpha(alpha: float) -> FMeanSpec:
 
     alpha = 1 is served by its logarithmic limit (means are invariant under
     the affine reparameterization (t^e - 1)/e -> log t), alpha = infinity is
-    the identity, and alpha = 0 is exposed only as a tagged limit whose
-    consumers use the support-size closed form.
+    the identity, and alpha = 0 (exponent -infinity) is exposed only as a
+    limit whose consumers use the support-size closed form.
     """
     if not (alpha >= 0.0):
         raise ParameterError(f"alpha must lie in [0, inf], got {alpha}")
-    if alpha == 0.0:
-        return _limit_spec("f_alpha[0]", DECREASING, CONVEX, (0.0, math.inf),
-                           power=-math.inf, alpha=0.0)
     if alpha == 1.0:
         return FMeanSpec(
             name="f_alpha[1]",
@@ -127,29 +138,25 @@ def f_alpha(alpha: float) -> FMeanSpec:
             kind="log",
             alpha=1.0,
         )
-    if math.isinf(alpha):
-        return _power_spec("f_alpha[inf]", 1.0, INCREASING, AFFINE, alpha=math.inf)
-    exponent = (alpha - 1.0) / alpha
-    direction = INCREASING if alpha > 1.0 else DECREASING
-    return _power_spec(f"f_alpha[{alpha:g}]", exponent, direction, CONVEX, alpha=float(alpha))
+    exponent = -math.inf if alpha == 0.0 else 1.0 if math.isinf(alpha) else (alpha - 1.0) / alpha
+    return _power_spec(f"f_alpha[{alpha:g}]", exponent, alpha=float(alpha))
 
 
 def h_alpha_beta(alpha: float, beta: float) -> FMeanSpec:
     """Posterior mean h(t) = t^((alpha-1)*beta/alpha) for the two-parameter
     leakage family; alpha in (1, inf], beta in [1, inf].
 
-    beta = infinity is a tagged limit (the power mean degenerates to a max
-    over outputs); consumers branch on it.  Convexity of h holds only for
+    beta = infinity is a limit (the power mean degenerates to a max over
+    outputs); consumers branch on it.  Convexity of h holds only for
     beta >= alpha/(alpha-1); outside that range a validity warning is
     emitted because the posterior-vulnerability axioms are not guaranteed.
+    The spec carries no order tag: t^e is the same mean whichever (alpha,
+    beta) gave e.
     """
     if not alpha > 1.0:
         raise ParameterError(f"alpha must lie in (1, inf], got {alpha}")
     if not beta >= 1.0:
         raise ParameterError(f"beta must lie in [1, inf], got {beta}")
-    if math.isinf(beta):
-        return _limit_spec(f"h_ab[{alpha:g},inf]", INCREASING, CONCAVE, (0.0, math.inf),
-                           power=math.inf, alpha=float(alpha), beta=math.inf)
     exponent = beta if math.isinf(alpha) else (alpha - 1.0) * beta / alpha
     if exponent < 1.0:
         warnings.warn(
@@ -159,12 +166,7 @@ def h_alpha_beta(alpha: float, beta: float) -> FMeanSpec:
             FMeanValidityWarning,
             stacklevel=2,
         )
-    # inverse is s^(1/exponent): concave for exponent > 1, convex below
-    convexity = AFFINE if exponent == 1.0 else (CONCAVE if exponent > 1.0 else CONVEX)
-    return _power_spec(
-        f"h_ab[{alpha:g},{beta:g}]", exponent, INCREASING, convexity,
-        alpha=float(alpha), beta=float(beta),
-    )
+    return _power_spec(f"h_ab[{alpha:g},{beta:g}]", exponent)
 
 
 def ell_alpha(alpha: float) -> FMeanSpec:
@@ -172,38 +174,12 @@ def ell_alpha(alpha: float) -> FMeanSpec:
     pointwise information-gain measures.
 
     alpha = 1 degenerates to plain averaging (rate 0); alpha = 0 is the
-    min-over-outputs limit (rate -> -infinity), exposed as a tagged limit.
+    min-over-outputs limit (rate -> -infinity), exposed as a limit spec.
     """
     if not (alpha >= 0.0):
         raise ParameterError(f"alpha must lie in [0, inf], got {alpha}")
-    if alpha == 0.0:
-        return _limit_spec("ell[0]", DECREASING, CONVEX, (-math.inf, math.inf),
-                           exp_rate=-math.inf, alpha=0.0)
-    if alpha == 1.0:
-        return FMeanSpec(
-            name="ell[1]",
-            forward=lambda t: np.asarray(t, dtype=float),
-            inverse=lambda s: np.asarray(s, dtype=float),
-            direction=INCREASING,
-            inverse_convexity=AFFINE,
-            domain=(-math.inf, math.inf),
-            kind="exp",
-            exp_rate=0.0,
-            alpha=1.0,
-        )
-    rate = 1.0 if math.isinf(alpha) else (alpha - 1.0) / alpha
-    coeff = 1.0 / rate
-    return FMeanSpec(
-        name=f"ell[{alpha:g}]",
-        forward=lambda t, _r=rate: np.exp(_r * np.asarray(t, dtype=float)),
-        inverse=lambda s, _c=coeff: _c * _log(s),
-        direction=INCREASING if rate > 0 else DECREASING,
-        inverse_convexity=CONCAVE if rate > 0 else CONVEX,
-        domain=(-math.inf, math.inf),
-        kind="exp",
-        exp_rate=rate,
-        alpha=float(alpha),
-    )
+    rate = -math.inf if alpha == 0.0 else 1.0 if math.isinf(alpha) else (alpha - 1.0) / alpha
+    return _exp_spec(f"ell[{alpha:g}]", rate, float(alpha))
 
 
 def custom_fmean(
@@ -249,15 +225,8 @@ def fmeans_equal(f: FMeanSpec, h: FMeanSpec) -> bool:
     """Structural equality: the two specs denote the same mean."""
     if f is h:
         return True
-    if f.kind != h.kind:
-        return False
-    if f.kind == "power":
-        return f.power == h.power
-    if f.kind == "exp":
-        return f.exp_rate == h.exp_rate
-    if f.kind == "log":
-        return True
-    return False
+    # a catalog mean is fixed by its kind and its exponent or rate; a custom one by identity
+    return f.kind == h.kind != "custom" and (f.power, f.exp_rate) == (h.power, h.exp_rate)
 
 
 def has_multiplicative_inverse(spec: FMeanSpec, samples: int = 64, seed: int = 0) -> bool:

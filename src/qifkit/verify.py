@@ -313,6 +313,7 @@ def verify_maximal_equals_capacity(
     if not isinstance(gain, (IdentityGain, SimplexGain)):
         raise ParameterError("the equivalence check needs an alphabet-generic gain")
     classical = f.is_affine and h.is_affine
+    # only f_alpha sets alpha on a power or log mean, so it is that mean's own order
     matched = (
         fmeans_equal(f, h)
         and f.kind in ("power", "log")

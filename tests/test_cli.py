@@ -206,6 +206,68 @@ def test_gain_matrix_from_csv(files, capsys, tmp_path):
     assert report["value"] == pytest.approx(1.0)
 
 
+def test_max_case_capacity_reports_an_upper_bound(files, capsys):
+    from qifkit import Channel, f_alpha, max_case_capacity_bound
+
+    argv = ["compute", "mult-f-capacity", "--f", "alpha:2", "--channel", str(files["channel"])]
+    code, report = run_json(capsys, argv + ["--max-case"])
+    assert code == 0
+    assert report["diagnostics"] == {"bound_kind": "upper_bound"}
+    channel = Channel([[0.9, 0.1], [0.1, 0.9]])
+    assert report["value"] == max_case_capacity_bound(channel, f_alpha(2.0))
+
+
+def test_power_one_is_the_identity_mean(files, capsys):
+    argv = ["compute", "leakage-mult", "--prior", str(files["prior"]),
+            "--channel", str(files["channel"]), "--gain", "identity", "--f"]
+    _, power = run_json(capsys, argv + ["power:1"])
+    _, identity = run_json(capsys, argv + ["identity"])
+    assert power["value"] == identity["value"] == pytest.approx(math.log(1.8))
+    assert power["diagnostics"] == identity["diagnostics"]
+
+
+def test_prior_csv_with_a_header_row_or_one_column(files, capsys, tmp_path):
+    header, column = tmp_path / "header.csv", tmp_path / "column.csv"
+    header.write_text("x0,x1\n0.8,0.2\n")
+    column.write_text("0.8\n0.2\n")
+    for prior in (header, column):
+        code, report = run_json(capsys, ["compute", "prior-v", "--prior", str(prior),
+                                         "--gain", "identity"])
+        assert code == 0
+        assert report["value"] == 0.8
+
+
+def test_input_and_option_errors_exit_2_with_their_message(files, capsys, tmp_path):
+    empty, gain = tmp_path / "empty.csv", tmp_path / "gain3.csv"
+    empty.write_text("\n ,\n")
+    gain.write_text("1,0,0\n0,1,0\n")
+    prior, channel = str(files["prior"]), str(files["channel"])
+    for argv, message in (
+        (["compute", "bayes-capacity", "--channel", str(empty)], "is empty"),
+        (["compute", "prior-v", "--prior", prior, "--gain", str(gain)],
+         "gain matrix has 3 columns, expected 2"),
+        (["compute", "mult-f-capacity", "--f", "ab:2", "--channel", channel],
+         "ab f-mean needs two orders"),
+        (["compute", "prior-v", "--prior", channel, "--gain", "identity"],
+         "a prior must be a single CSV row"),
+        (["verify", "equivalence"], "verify equivalence requires --channel"),
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, (argv, err)
+
+
+def test_infinite_order_spellings_give_one_report(files, capsys):
+    from qifkit import Prior, renyi_entropy
+
+    reports = [run_json(capsys, ["compute", "renyi-entropy", "--prior", str(files["prior"]),
+                                 "--alpha", spelling])[1]
+               for spelling in ("inf", "Infinity", "INF")]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["params"] == {"alpha": "inf"}
+    assert reports[0]["value"] == renyi_entropy(Prior([0.5, 0.5]), math.inf)
+
+
 def test_renyi_divergence_requires_reference(files, capsys, tmp_path):
     skew = tmp_path / "skew.csv"
     skew.write_text("0.9,0.1\n")

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qifkit.fmeans import (
     fmeans_equal,
     h_alpha_beta,
     has_multiplicative_inverse,
+    identity_fmean,
 )
 from qifkit.gains import FiniteMatrixGain, PointwiseInfoGain, SimplexGain, gain_matrix_for
 
@@ -138,6 +140,67 @@ def test_fmeans_equal():
     assert fmeans_equal(f_alpha(2.0), collapsed)  # same power
     assert not fmeans_equal(f_alpha(2.0), f_alpha(3.0))
     assert fmeans_equal(f_alpha(1.0), f_alpha(1.0))
+
+
+def test_fmeans_equal_reads_the_exponent_or_rate_of_every_catalog_kind():
+    assert fmeans_equal(f_alpha(0.0), f_alpha(0.0))
+    assert fmeans_equal(ell_alpha(0.0), ell_alpha(0.0))
+    assert fmeans_equal(h_alpha_beta(2.0, math.inf), h_alpha_beta(3.0, math.inf))  # both the max
+    assert not fmeans_equal(f_alpha(0.0), ell_alpha(0.0))  # the same infinity, another kind
+    assert not fmeans_equal(f_alpha(0.0), h_alpha_beta(2.0, math.inf))  # min vs max
+    assert fmeans_equal(ell_alpha(2.0), ell_alpha(2.0))
+    assert not fmeans_equal(ell_alpha(2.0), ell_alpha(3.0))
+
+    def neglog():
+        return custom_fmean(lambda t: -np.log(np.asarray(t, float)),
+                            lambda s: np.exp(-np.asarray(s, float)), "decreasing", "convex")
+
+    mean = neglog()
+    assert fmeans_equal(mean, mean)
+    assert not fmeans_equal(mean, neglog())  # custom means are equal only to themselves
+
+
+ORDERS = (0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 1e6, math.inf)
+AB_ALPHAS = (1.1, 1.5, 2.0, 3.0, 4.0, 10.0, math.inf)
+AB_BETAS = (1.0, 1.5, 2.0, 3.0, 4.0, 10.0, math.inf)
+
+
+def _catalog() -> list:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FMeanValidityWarning)
+        return [identity_fmean(), *(spec(a) for a in ORDERS for spec in (f_alpha, ell_alpha)),
+                *(h_alpha_beta(a, b) for a in AB_ALPHAS for b in AB_BETAS)]
+
+
+def test_catalog_metadata_holds_on_sampled_points(rng):
+    limits = 0
+    for spec in _catalog():
+        if spec.kind == "limit":
+            limits += 1
+            assert math.isinf(spec.power if spec.exp_rate is None else spec.exp_rate)
+            for fn in (spec.forward, spec.inverse):
+                with pytest.raises(ParameterError, match=re.escape(spec.name)):
+                    fn(1.0)
+            continue
+        lo, hi = (-5.0, 5.0) if spec.domain[0] == -math.inf else (0.05, 3.0)
+        ts = np.sort(rng.uniform(lo, hi, 200))
+        values = np.asarray(spec.forward(ts), dtype=float)
+        slopes = np.diff(values)
+        assert np.all(slopes > 0.0 if spec.increasing else slopes < 0.0), spec.name
+        # midpoint test of the inverse on pairs of points of its domain, the range of forward
+        xs, ys = values, rng.permutation(values)
+        mid = np.asarray(spec.inverse((xs + ys) / 2.0), dtype=float)
+        avg = (np.asarray(spec.inverse(xs), dtype=float)
+               + np.asarray(spec.inverse(ys), dtype=float)) / 2.0
+        slack = 1e-12 * np.maximum(np.abs(mid), np.abs(avg))
+        if spec.inverse_convexity == "affine":
+            assert np.all(np.abs(mid - avg) <= slack), spec.name
+        elif spec.inverse_convexity == "convex":
+            assert np.all(mid <= avg + slack), spec.name
+        else:
+            assert spec.inverse_convexity == "concave"
+            assert np.all(mid >= avg - slack), spec.name
+    assert limits == 2 + len(AB_ALPHAS)  # f_alpha(0), ell_alpha(0) and every beta = inf
 
 
 def test_custom_fmean_validation():

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -12,7 +13,15 @@ from qifkit.alpha import AlphaOrder, arimoto_mi, min_expected_alpha_loss
 from qifkit.capacity import SimplexOptimizerConfig
 from qifkit.core import Channel, Prior, compose, ni_channel, push
 from qifkit.errors import ParameterError
-from qifkit.fmeans import FMeanSpec, custom_fmean, ell_alpha, f_alpha, identity_fmean
+from qifkit.fmeans import (
+    FMeanSpec,
+    FMeanValidityWarning,
+    custom_fmean,
+    ell_alpha,
+    f_alpha,
+    h_alpha_beta,
+    identity_fmean,
+)
 from qifkit.gains import FiniteMatrixGain, IdentityGain, SimplexGain
 from qifkit.simplex import simplex_grid
 from qifkit.verify import (
@@ -168,6 +177,20 @@ def test_equivalence_check_preconditions():
         # a negative draw count used to shrink instances_checked instead
         verify_maximal_equals_capacity(
             channel, SimplexGain(), f_alpha(2.0), f_alpha(2.0), (2, 4), CFG, n_stochastic=-5
+        )
+
+
+@pytest.mark.parametrize("alpha, beta", [(4.0, 1.5), (2.0, 1.5)])
+def test_equivalence_check_rejects_a_two_parameter_mean(alpha, beta):
+    # h_alpha_beta(4, 1.5) = t^1.125 has a concave inverse, and h_alpha_beta(2, 1.5) = t^0.75
+    # is the mean of order 4, not 2: neither may be checked at the alpha it was built from
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FMeanValidityWarning)  # exponent 0.75 < 1
+        h = h_alpha_beta(alpha, beta)
+    config = SimplexOptimizerConfig(restarts=1, grid_resolution=20)
+    with pytest.raises(ParameterError, match="order-alpha family"):
+        verify_maximal_equals_capacity(
+            Channel([[0.7, 0.3], [0.2, 0.8]]), SimplexGain(), h, h, (2, 2), config
         )
 
 
