@@ -60,7 +60,10 @@ def _logsumexp_into(scratch: np.ndarray, axis: int) -> np.ndarray:
     overwrites: the slice maxima are subtracted, exponentiated and summed in place.
     -inf entries add nothing, so an all -inf slice gives -inf; any +inf gives +inf
     and any NaN gives NaN.  A finite maximum leaves its sum at least 1, so only
-    other slices need errstate."""
+    other slices need errstate, and one slice with a finite maximum takes a lean path."""
+    if scratch.size == scratch.shape[axis] and math.isfinite(m := np.maximum.reduce(scratch, None)):
+        scratch -= m
+        return np.log(np.add.reduce(np.exp(scratch, out=scratch), axis=axis)) + m
     m = np.maximum.reduce(scratch, axis=axis, keepdims=True)
     finite = np.isfinite(m)
     if not (tame := np.count_nonzero(finite) == finite.size):

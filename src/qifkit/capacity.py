@@ -221,11 +221,11 @@ def _stack_search(scores, dim: int, config: SimplexOptimizerConfig | None = None
     vertex_values = values[len(points) - dim * len(levels):].reshape(-1, dim)
     vertex_trend = {n: float(v) for n, v in zip(levels, vertex_values.max(axis=1))}
     restarts = np.random.default_rng(cfg.seed).dirichlet(np.ones(dim), size=cfg.restarts)
-    for s in [best_point, *restarts]:
-        val, point = projected_ascent(counted, s, max_iterations=cfg.max_iterations,
-                                      tolerance=cfg.ascent_tolerance)
+    starts = np.vstack([best_point, restarts])  # in lockstep; in start order, a strict rise wins
+    for val, point in zip(*projected_ascent(counted, starts, max_iterations=cfg.max_iterations,
+                                            tolerance=cfg.ascent_tolerance)):
         if val > best_val:
-            best_val, best_point = val, point
+            best_val, best_point = float(val), point
     diagnostics = {"evaluations": evaluations, "nan_evaluations": nan_count,
                    "vertex_trend": vertex_trend, "restarts": cfg.restarts, "seed": cfg.seed}
     return best_val, Prior(best_point), diagnostics
@@ -238,8 +238,9 @@ def sup_over_prior(objective, dim: int, config: SimplexOptimizerConfig | None = 
     The value is a certified lower bound on the supremum; global optimality
     is not claimed unless a closed form exists.  NaN evaluations are skipped;
     every objective call, the ascent's included, is counted.  ``objective``
-    maps one prior to a number and sees the candidates one by one in order.
-    No built-in measure uses it: they search stacks of priors directly.
+    maps one prior to a number and sees the candidates one by one, the
+    points of the lockstep restarts interleaved.  No built-in measure uses
+    it: they search stacks of priors directly.
     """
     return _stack_search(lambda points: np.array([float(objective(p)) for p in points]),
                          dim, config)

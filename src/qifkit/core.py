@@ -29,18 +29,22 @@ def _clean_rows(values, what: str, rows: bool = False) -> np.ndarray:
     if arr.ndim != (2 if rows else 1) or arr.size < 1:
         shape = "2-D matrix" if rows else "1-D vector"
         raise ValidationError(f"{what} must be a non-empty {shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{what} contains non-finite entries")
-    if arr.min() < -INPUT_TOL:
-        raise ValidationError(f"{what} has negative entries")
-    arr = np.maximum(arr, 0.0)
-    sums = arr.sum(axis=-1, keepdims=True)
-    off = np.abs(sums - 1.0)
-    bad = int(off.argmax())
-    if off.flat[bad] > INPUT_TOL:
-        where = f"{what} row {bad}" if rows else what
-        raise ValidationError(f"{where} sums to {sums.flat[bad]}, not 1")
+    # one min and one row sum pass valid input; the checks below name what is wrong
+    if not (arr.min() >= 0.0 and np.abs((sums := arr.sum(axis=-1, keepdims=True)) - 1.0).max()
+            <= INPUT_TOL):
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{what} contains non-finite entries")
+        if arr.min() < -INPUT_TOL:
+            raise ValidationError(f"{what} has negative entries")
+        arr = np.maximum(arr, 0.0)
+        sums = arr.sum(axis=-1, keepdims=True)
+        off = np.abs(sums - 1.0)
+        bad = int(off.argmax())
+        if off.flat[bad] > INPUT_TOL:
+            where = f"{what} row {bad}" if rows else what
+            raise ValidationError(f"{where} sums to {sums.flat[bad]}, not 1")
     arr = arr / sums
+    arr += 0.0  # a -0.0 entry reads +0.0, as the clip at 0 makes it
     arr.flags.writeable = False
     return arr
 

@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ParameterError
 
 
+@functools.lru_cache(maxsize=8)
 def simplex_grid(dim: int, resolution: int) -> np.ndarray:
     """All points of the simplex with coordinates that are multiples of
-    1/resolution, in lexicographic order.  Rows are distributions.  Intended
-    for dim <= 3; the grid size grows as resolution**(dim-1).
-    """
+    1/resolution, in lexicographic order, read-only and built once while among
+    the last 8 used.  Rows are distributions.  Intended for dim <= 3; the grid
+    size grows as resolution**(dim-1)."""
     if dim < 1 or resolution < 1:
         raise ParameterError("dim and resolution must be positive")
     if dim == 1:
-        return np.ones((1, 1))
+        return np.broadcast_to(1.0, (1, 1))  # a read-only [[1.0]]
     # stars and bars: m[:, l] units are left before level l takes its share
     m = np.array([[resolution]])
     for _ in range(dim - 1):
@@ -32,6 +35,7 @@ def simplex_grid(dim: int, resolution: int) -> np.ndarray:
     scale = np.divide(rest, left, out=np.zeros(rest.shape), where=live)
     for level in reversed(range(dim - 2)):
         points[:, level + 1:] *= scale[:, level:level + 1]
+    points.flags.writeable = False
     return points
 
 
@@ -47,34 +51,42 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def projected_ascent(fun, start: np.ndarray, max_iterations: int = 300, tolerance: float = 1e-12,
-                     fd_step: float = 1e-6) -> tuple[float, np.ndarray]:
+                     fd_step: float = 1e-6) -> tuple:
     """Maximize ``fun`` over the simplex by finite-difference projected
-    gradient ascent with backtracking.  ``fun`` scores an (n, dim) stack:
-    each iteration's 2 * dim difference points (up and down interleaved) in
-    one call, its line-search points one per call.  A local method: callers
-    provide the multi-start.  Evaluations happen only at projected points,
-    and the ascent stops at +inf, which nothing beats.
-    """
-    x = project_to_simplex(np.asarray(start, dtype=float))
-    fx = float(fun(x[None])[0])
-    steps = fd_step * np.eye(x.size)
+    gradient ascent with backtracking, from a start (dim,) or, in lockstep,
+    from each row of a stack (n, dim).  ``fun`` scores an (m, dim) stack: the
+    projected starts in one call, then per iteration the 2 * dim difference
+    points (up and down interleaved) of every running ascent in one call, and
+    their line-search steps 0.25 * 2^-k (k < 40), projected in one call and
+    scored one step per call over the ascents still searching, so each visits
+    the points it would alone.  Callers provide the multi-start.  Points are
+    scored only once projected; an ascent stops at +inf, which nothing beats.
+    Returns (value, point), or both as arrays for a stack."""
+    start = np.asarray(start, dtype=float)
+    X = project_to_simplex(start.reshape(-1, start.shape[-1]))
+    fX = np.array(fun(X), dtype=float)
+    steps, ladder = fd_step * np.eye(X.shape[1]), 0.25 * 0.5 ** np.arange(40.0)
+    running = np.arange(len(X))
     for _ in range(max_iterations):
-        if fx == np.inf:
+        if not (running := running[fX[running] != np.inf]).size:
             break
-        stencil = np.stack([x + steps, x - steps], axis=1).reshape(-1, x.size)
-        values = np.asarray(fun(project_to_simplex(stencil)), dtype=float)
-        grad = (values[0::2] - values[1::2]) / (2.0 * fd_step)
-        norm = float(np.linalg.norm(grad))
-        if norm == 0.0 or not np.isfinite(norm):
-            break
-        step = 0.25
-        for _ in range(40):
-            cand = project_to_simplex(x + step * grad / norm)
-            fc = float(fun(cand[None])[0])
-            if fc > fx + tolerance:
-                x, fx = cand, fc
+        x = X[running]
+        stencil = np.stack([x[:, None] + steps, x[:, None] - steps], axis=2).reshape(-1, x.shape[1])
+        values = np.asarray(fun(project_to_simplex(stencil)), dtype=float).reshape(len(x), -1)
+        grad = (values[:, 0::2] - values[:, 1::2]) / (2.0 * fd_step)
+        norm = np.sqrt((grad[:, None] @ grad[:, :, None])[:, 0, 0])  # np.linalg.norm's dot, per row
+        live = (norm != 0.0) & np.isfinite(norm)
+        cands = project_to_simplex(x[live, None] + ladder[:, None] * grad[live, None]
+                                   / norm[live, None, None])
+        running = running[live]
+        floor, searching = fX[running] + tolerance, np.arange(len(running))
+        for k in range(len(ladder) if searching.size else 0):
+            fc = np.asarray(fun(cands[searching, k]), dtype=float)
+            if not (up := fc > floor[searching]).any():
+                continue
+            won = searching[up]
+            X[running[won]], fX[running[won]] = cands[won, k], fc[up]
+            if not (searching := searching[~up]).size:
                 break
-            step *= 0.5
-        else:
-            break
-    return fx, x
+        running = np.delete(running, searching)  # a ladder with no rise ends its ascent
+    return (float(fX[0]), X[0]) if start.ndim == 1 else (fX, X)

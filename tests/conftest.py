@@ -3,6 +3,7 @@ import pytest
 
 from qifkit.alpha import _arimoto
 from qifkit.core import Channel, Prior
+from qifkit.simplex import project_to_simplex
 
 
 def bsc(p: float) -> Channel:
@@ -25,6 +26,45 @@ def joint_arimoto(joints: np.ndarray, order) -> tuple:
     p_y = rows.sum(axis=2)
     inners = np.divide(rows, p_y[:, :, None], out=np.zeros_like(rows), where=p_y[:, :, None] > 0)
     return _arimoto(p_y, inners, order)
+
+
+def reference_ascent(fun, start, max_iterations=300, tolerance=1e-12, fd_step=1e-6, rungs=None):
+    """One start's projected ascent as a loop of its own: one call per
+    stencil and per line-search step.  ``rungs``, if given, collects the
+    steps each iteration scored (0 when the gradient stopped it)."""
+    rungs = [] if rungs is None else rungs
+    x = project_to_simplex(np.asarray(start, dtype=float))
+    fx = float(fun(x[None])[0])
+    steps = fd_step * np.eye(x.size)
+    for _ in range(max_iterations):
+        if fx == np.inf:
+            break
+        stencil = np.stack([x + steps, x - steps], axis=1).reshape(-1, x.size)
+        values = np.asarray(fun(project_to_simplex(stencil)), dtype=float)
+        grad = (values[0::2] - values[1::2]) / (2.0 * fd_step)
+        norm = float(np.linalg.norm(grad))
+        if norm == 0.0 or not np.isfinite(norm):
+            rungs.append(0)
+            break
+        step = 0.25
+        for k in range(40):
+            cand = project_to_simplex(x + step * grad / norm)
+            fc = float(fun(cand[None])[0])
+            if fc > fx + tolerance:
+                x, fx = cand, fc
+                break
+            step *= 0.5
+        else:
+            rungs.append(40)
+            break
+        rungs.append(k + 1)
+    return fx, x
+
+
+def sequential_ascent(fun, starts, **kwargs):
+    """Stand-in for the lockstep ``projected_ascent``: each start ascends alone, in order."""
+    results = [reference_ascent(fun, s, **kwargs) for s in starts]
+    return np.array([v for v, _ in results]), np.array([x for _, x in results])
 
 
 @pytest.fixture

@@ -529,3 +529,23 @@ def test_linear_orders_skip_the_log_sum_exp(monkeypatch, rng):
             calls.clear()
             measure(*args, a)
             assert bool(calls) == shifted, (measure.__name__, a)
+
+
+def test_one_slice_log_sum_exp_takes_the_stack_bits(rng):
+    # a lone slice with a finite maximum takes the lean path; stacked with a
+    # second slice, the same entries take the general one
+    lse = alpha_module._logsumexp_into
+    for n in (1, 4, 17):
+        sparse = np.where(rng.random(n) < 0.4, -math.inf, rng.normal(size=n))
+        for x in (30.0 * rng.normal(size=n), sparse):
+            x[0] = 0.0
+            pair = np.stack([x, x + 1.0])
+            column = pair[:, :, None]
+            for lone, stacked in ((lse(x.copy(), -1), lse(pair.copy(), -1)[0]),
+                                  (lse(x[None].copy(), -1), lse(pair.copy(), -1)[:1]),
+                                  (lse(column[:1].copy(), 1), lse(column.copy(), 1)[:1])):
+                assert np.shape(lone) == np.shape(stacked)
+                assert np.asarray(lone).tobytes() == np.asarray(stacked).tobytes()
+    for edge, expected in (([-math.inf] * 3, -math.inf), ([0.0, math.inf], math.inf)):
+        assert lse(np.array(edge), -1) == expected
+    assert math.isnan(lse(np.array([0.0, math.nan]), -1))

@@ -35,7 +35,7 @@ from qifkit.vulnerability import (
     prior_vulnerability,
 )
 
-from conftest import bsc, random_channel, random_prior
+from conftest import bsc, random_channel, random_prior, sequential_ascent
 
 FAST = SimplexOptimizerConfig(restarts=6, grid_resolution=40, seed=3)
 
@@ -196,6 +196,70 @@ def test_sup_over_prior_counts_every_objective_call():
     assert value == pytest.approx(0.0, abs=1e-9)
     assert diagnostics["evaluations"] == calls["all"]
     assert diagnostics["nan_evaluations"] == calls["nan"] > 0
+
+
+def test_sup_over_prior_sees_the_points_of_each_start_ascending_alone(monkeypatch):
+    def search():
+        seen = []
+
+        def objective(p):
+            seen.append(tuple(p))
+            return math.nan if p[0] > 0.85 else -float(((p - [0.1, 0.6, 0.3]) ** 2).sum())
+
+        value, witness, diagnostics = sup_over_prior(objective, 3, FAST)
+        return value, witness, diagnostics, seen
+
+    lockstep = search()
+    monkeypatch.setattr(capacity, "projected_ascent", sequential_ascent)
+    alone = search()
+    assert lockstep[:3] == alone[:3]
+    assert lockstep[2]["nan_evaluations"] > 0
+    assert lockstep[3] != alone[3] and sorted(lockstep[3]) == sorted(alone[3])
+
+
+# the parent of the lockstep ascent on channels from default_rng(25): value,
+# witness, evaluations and vertex trend (orders 10, 100, 1000, 10000), in hex
+DEFAULT_SEARCHES = [
+    (3, 0.5, "0x1.1c0e885dcff7ep-2", ["0x1.0000000000000p-1", "0x0.0p+0", "0x1.0000000000000p-1"],
+     4043, ["0x1.1e77c04070087p-4", "0x1.e4b5e0ce3fd63p-8", "0x1.85b39510681d7p-11",
+            "0x1.37ea19f0076b4p-14"]),
+    (3, 2.0, "0x1.06e424c4e6172p-1", ["0x1.e3163d65abd85p-2", "0x0.0p+0", "0x1.0e74e14d2a13dp-1"],
+     3305, ["0x1.062fb2928ae73p-2", "0x1.03a3597d5b12cp-4", "0x1.fd699c8e9587cp-7",
+            "0x1.f7e1896df2a08p-9"]),
+    (3, math.inf, "0x1.38f8f854563cfp-1", ["0x1.5555555555555p-2"] * 3,
+     1995, ["0x1.38f8f854563cfp-1"] * 4),
+    (4, 5.0, "0x1.13350c79e00f9p-1",
+     ["0x0.0p+0", "0x1.1e8d93aafe28ap-3", "0x1.474944bf7e7e7p-2", "0x1.14b7f8b58136ap-1"],
+     2255, ["0x1.af1b3a2e34173p-2", "0x1.13bcb5b3a4f24p-2", "0x1.3f18bcc77df6ep-3",
+            "0x1.5a22f92c576eap-4"]),
+]
+
+
+def _pinned_channels():
+    rng = np.random.default_rng(25)
+    return {n: Channel(rng.dirichlet(np.ones(n), size=n)) for n in (3, 4)}
+
+
+def test_default_searches_keep_their_bits():
+    channels = _pinned_channels()
+    for n, alpha, value, witness, evaluations, trend in DEFAULT_SEARCHES:
+        got, prior, diagnostics = maximal_alpha_leakage(channels[n], alpha)
+        assert got.hex() == value and [x.hex() for x in prior.probs] == witness
+        assert (diagnostics["evaluations"], diagnostics["nan_evaluations"]) == (evaluations, 0)
+        assert [diagnostics["vertex_trend"][k].hex() for k in (10, 100, 1000, 10000)] == trend
+    for (alpha, beta), value, witness, evaluations in (
+            ((2.0, 1.5), "0x1.66da9a967a9edp+1", ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"],
+             3758),
+            ((math.inf, 2.0), "0x1.41e5be09dd967p+1", ["0x1.5555555555555p-2"] * 3, 1995)):
+        got, prior, diagnostics = maximal_alpha_beta_leakage(channels[3], alpha, beta)
+        assert got.hex() == value and [x.hex() for x in prior.probs] == witness
+        assert diagnostics["evaluations"] == evaluations
+    result = verify_maximal_equals_capacity(channels[3], SimplexGain(), f_alpha(2.0), f_alpha(2.0),
+                                            (3, 4))
+    worst = result.worst_instance
+    assert result.passed and result.instances_checked == 329768
+    assert (worst["lhs"].hex(), worst["rhs"].hex()) == ("0x1.06e014c122c46p-1",
+                                                         "0x1.06e424c4e6172p-1")
 
 
 def test_sup_over_prior_identity_channel_capacity():

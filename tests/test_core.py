@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qifkit.core import Channel, Hyper, Prior, compose, ni_channel, push
+from qifkit.core import INPUT_TOL, Channel, Hyper, Prior, _clean_rows, compose, ni_channel, push
 from qifkit.errors import DimensionMismatch, ValidationError
 
 from conftest import bsc, random_channel, random_prior
@@ -225,3 +225,54 @@ def test_prior_and_channel_messages():
         Channel([GOOD, [0.5, 0.25]])
     with pytest.raises(ValidationError, match="^channel has negative entries$"):
         Channel([GOOD, [1.1, -0.1]])
+
+
+def checked_rows(values, what, rows=False):
+    """The validator with every check run in turn, as it was before valid
+    input took a shortcut."""
+    arr = np.asarray(values, dtype=float, order="C")
+    if arr.ndim != (2 if rows else 1) or arr.size < 1:
+        shape = "2-D matrix" if rows else "1-D vector"
+        raise ValidationError(f"{what} must be a non-empty {shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} contains non-finite entries")
+    if arr.min() < -INPUT_TOL:
+        raise ValidationError(f"{what} has negative entries")
+    arr = np.maximum(arr, 0.0)
+    sums = arr.sum(axis=-1, keepdims=True)
+    off = np.abs(sums - 1.0)
+    bad = int(off.argmax())
+    if off.flat[bad] > INPUT_TOL:
+        where = f"{what} row {bad}" if rows else what
+        raise ValidationError(f"{where} sums to {sums.flat[bad]}, not 1")
+    return arr / sums
+
+
+def _outcome(check, values, rows):
+    try:
+        out = check(values, "table", rows=rows)
+    except ValidationError as err:
+        return str(err)
+    return out.shape, out.tobytes()  # bytes: signed zeros count
+
+
+def test_validator_shortcut_keeps_every_bit_and_message():
+    rng = np.random.default_rng(11)
+    cases = [([], False), ([[]], True), ([0.5, 0.5], True), ([[1e300, 0.0]], True)]
+    for n in (1, 2, 3, 5, 16, 256):
+        for rows in (False, True):
+            base = rng.dirichlet(np.ones(n), size=(4,) if rows else None)
+            edits = [lambda t: t, lambda t: t * (1.0 + 5e-10), lambda t: t * 0.5, lambda t: 0.0 * t,
+                     lambda t: -0.0 * t]
+            for k, entry in ((0, -0.0), (0, -1e-12), (-1, np.nan), (0, np.inf), (0, -np.inf),
+                             (-1, -1e-3), (0, 2.0)):
+                def edit(t, k=k, entry=entry):
+                    t = t.copy()
+                    t[..., k] = entry
+                    return t
+                edits.append(edit)
+            cases += [(edit(base), rows) for edit in edits]
+    for values, rows in cases:
+        assert _outcome(_clean_rows, values, rows) == _outcome(checked_rows, values, rows)
+    got = _clean_rows([-0.0, 1.0], "prior")
+    assert not np.signbit(got).any() and not got.flags.writeable

@@ -4,6 +4,8 @@ import pytest
 from qifkit.errors import ParameterError
 from qifkit.simplex import project_to_simplex, projected_ascent, simplex_grid
 
+from conftest import reference_ascent
+
 
 def recursive_grid(dim, resolution):
     """The grid as nested levels: the first coordinate, then the grid of
@@ -38,6 +40,18 @@ def test_simplex_grid_at_search_resolutions():
         simplex_grid(0, 3)
     with pytest.raises(ParameterError):
         simplex_grid(3, 0)
+
+
+@pytest.mark.parametrize("dim, resolution", [(1, 5), (2, 200), (3, 20), (3, 60)])
+def test_simplex_grid_is_built_once_and_read_only(dim, resolution):
+    grid = simplex_grid(dim, resolution)
+    assert simplex_grid(dim, resolution) is grid
+    assert np.array_equal(grid, simplex_grid.__wrapped__(dim, resolution))
+    assert np.array_equal(grid, recursive_grid(dim, resolution))
+    with pytest.raises(ValueError):
+        grid[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        grid *= 2.0
 
 
 def projection_of_one(v):
@@ -88,3 +102,71 @@ def test_projected_ascent_scores_each_stencil_in_one_call():
         assert np.array_equal(stencil[2 * i], projection_of_one(x + step))
         assert np.array_equal(stencil[2 * i + 1], projection_of_one(x - step))
     assert all(len(c) in (1, 6) for c in calls)
+
+
+def rugged(P):
+    """A test objective of a stack: a kinked concave bowl, flat (zero
+    gradient) near the face x0 = 0, NaN past x0 = 0.8 and +inf past x2 = 0.95."""
+    P = np.atleast_2d(P)
+    target = np.linspace(0.1, 1.0, P.shape[1])
+    v = -((P - target / target.sum()) ** 2).sum(axis=1) - 0.1 * np.abs(P[:, 1] - 0.3)
+    v = np.where(P[:, 0] < 0.05, -1.0, v)
+    v = np.where(P[:, 0] > 0.8, np.nan, v)
+    return np.where(P[:, 2] > 0.95, np.inf, v)
+
+
+def recording(fun, rows, calls):
+    def scored(P):
+        calls.append(len(P))
+        rows.extend(map(tuple, P))
+        return fun(P)
+    return scored
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+@pytest.mark.parametrize("max_iterations", [0, 1, 7, 300])
+def test_lockstep_ascent_matches_each_start_ascending_alone(dim, max_iterations):
+    rng = np.random.default_rng(100 + dim)
+    special = np.zeros((3, dim))
+    special[0, :3] = [0.9, 0.05, 0.05]   # starts in the NaN region
+    special[1, 2] = 1.0                  # starts at +inf
+    special[2, :3] = [0.01, 0.5, 0.49]   # starts where the gradient is zero
+    starts = np.vstack([rng.dirichlet(np.ones(dim), size=12), special,
+                        rng.normal(size=(2, dim))])  # off the simplex
+    kwargs = dict(max_iterations=max_iterations)
+
+    ref_rows, ref_calls, trajectories = [], [], []
+    expected = []
+    for s in starts:
+        trajectories.append([])
+        expected.append(reference_ascent(recording(rugged, ref_rows, ref_calls), s,
+                                         rungs=trajectories[-1], **kwargs))
+    rows, calls = [], []
+    values, points = projected_ascent(recording(rugged, rows, calls), starts, **kwargs)
+
+    assert values.shape == (len(starts),) and points.shape == starts.shape
+    for (value, point), got_value, got_point in zip(expected, values, points):
+        assert np.float64(value).tobytes() == got_value.tobytes()
+        assert point.tobytes() == got_point.tobytes()
+    assert sorted(rows) == sorted(ref_rows)  # the same points, so the same evaluations
+    assert np.isnan(values).any() and np.isposinf(values).any()
+    assert max_iterations == 0 or [0] in trajectories  # the zero-gradient start stopped at once
+    # one call for the starts, then per iteration one for the stencils and
+    # one per line-search step that some ascent still needs
+    steps = [max(t[i] for t in trajectories if len(t) > i)
+             for i in range(max(map(len, trajectories)))]
+    assert calls[0] == len(starts)
+    assert len(calls) == 1 + sum(1 + k for k in steps)
+    assert len(calls) < len(ref_calls) or max_iterations == 0
+
+
+def test_one_start_is_the_one_row_case():
+    start = np.array([0.2, 0.3, 0.5])
+    calls = []
+    value, point = projected_ascent(recording(rugged, [], calls), start)
+    expected_value, expected_point = reference_ascent(rugged, start)
+    assert isinstance(value, float) and value == expected_value
+    assert point.shape == (3,) and np.array_equal(point, expected_point)
+    stacked = projected_ascent(rugged, start[None])
+    assert np.array_equal(stacked[0], [value]) and np.array_equal(stacked[1], [point])
+    assert calls[0] == 1
