@@ -74,6 +74,14 @@ def _logsumexp_into(scratch: np.ndarray, axis: int) -> np.ndarray:
         return np.log(total) + m.squeeze(axis)
 
 
+def _log(x: np.ndarray) -> np.ndarray:
+    """np.log, silent on a zero entry (a padded row's), which gives -inf."""
+    if x.ndim == 0 and x > 0.0 or np.count_nonzero(x) == x.size:
+        return np.log(x)
+    with np.errstate(divide="ignore"):
+        return np.log(x)
+
+
 def _shannon(p: np.ndarray) -> np.ndarray:
     """Shannon entropy along the last axis (zero entries add nothing)."""
     logs = np.log(p, out=np.zeros_like(p), where=p > 0)
@@ -87,11 +95,11 @@ def _renyi_entropies(P: np.ndarray, a: AlphaOrder) -> np.ndarray:
     orders 1/2 and 2 sum P**alpha (a square root or square, zeros included),
     others exp(alpha log P).  An all-zero (padded) row gives log 0, silently."""
     if a.branch == ZERO:
-        return np.log((P > 0).sum(axis=-1))
+        return _log((P > 0).sum(axis=-1))
     if a.branch == ONE:
         return _shannon(P)
     if a.branch == INFINITY:
-        return -np.log(P.max(axis=-1))
+        return -_log(P.max(axis=-1))
     unshifted = a.value * math.log(P.shape[-1]) < 700.0
     with np.errstate(divide="ignore"):
         if unshifted and a.value in _LINEAR_ORDERS:
@@ -114,17 +122,16 @@ def _arimoto(outer: np.ndarray, inners: np.ndarray, a: AlphaOrder) -> tuple:
     shift: each exponential is a posterior's alpha-norm, in [|X|^-1/2, |X|]."""
     h_x = _renyi_entropies((outer[..., None, :] @ inners)[..., 0, :], a)
     if a.branch == ZERO:
-        return h_x, np.log((inners > 0.0).sum(axis=-1).max(axis=-1))
+        return h_x, _log((inners > 0.0).sum(axis=-1).max(axis=-1))
     if a.branch == INFINITY:
-        return h_x, -np.log((outer * inners.max(axis=-1)).sum(axis=-1))
+        return h_x, -_log((outer * inners.max(axis=-1)).sum(axis=-1))
     h_post = _renyi_entropies(inners, a)  # each row reduced in place along the secret axis
     if a.branch == ONE:
         return h_x, (outer * h_post).sum(axis=-1)
-    rate = (1.0 - a.value) / a.value
-    with np.errstate(divide="ignore"):  # a weight-0 row adds 0; all-zero weights give log 0
-        if a.value in _LINEAR_ORDERS:
-            return h_x, np.log((outer * np.exp(rate * h_post)).sum(axis=-1)) / rate
-        return h_x, _logsumexp_into(np.log(outer) + rate * h_post, -1) / rate
+    rate = (1.0 - a.value) / a.value  # a weight-0 row adds 0; all-zero weights give log 0
+    if a.value in _LINEAR_ORDERS:
+        return h_x, _log((outer * np.exp(rate * h_post)).sum(axis=-1)) / rate
+    return h_x, _logsumexp_into(_log(outer) + rate * h_post, -1) / rate
 
 
 def renyi_entropy(prior: Prior, alpha) -> float:
@@ -181,21 +188,18 @@ def _sibson(P: np.ndarray, C: np.ndarray, a: AlphaOrder) -> np.ndarray:
     sum is at most 1 and loses at most |X| 2^-1022 to underflow, so F loses
     at most |Y| (|X| 2^-1022)^(1/alpha) of F >= 1 at alpha > 1, and
     |Y| |X| 2^-1022 / alpha of F >= |X|^(1-1/alpha) (the value is at most
-    log|X|) at alpha < 1.  The product is batched per row, (n, 1, |X|) @
-    C^alpha: a plain P @ C^alpha blocks by the stack height, which would
-    move a row's bits.  Other orders run in the log domain.
+    log|X|) at alpha < 1.  Other orders run in the log domain.
     """
     if a.branch == INFINITY:
-        return np.log(np.where(P[:, :, None] > 0.0, C, 0.0).max(axis=1).sum(axis=1))
+        return _log(np.where(P[:, :, None] > 0.0, C, 0.0).max(axis=1).sum(axis=1))
     if a.branch == ONE:  # Shannon information is symmetric: H(Y) - H(Y | X), C's rows the inners
         return np.subtract(*_arimoto(P, C, a))
     if a.branch == ZERO:
         # an output every secret in the support reaches makes the value
         # exactly 0; otherwise the mass is clamped at 1 so 0 never turns -0
-        on = P > 0.0
-        reached = on.astype(float) @ (C > 0.0)
-        mass = np.minimum((P @ (C > 0.0)).max(axis=1), 1.0)
-        return np.where(reached.max(axis=1) == on.sum(axis=1), 0.0, 0.0 - np.log(mass))
+        shared = ~((P > 0.0) @ (C == 0.0)).all(axis=1)
+        mass = np.minimum((P[:, None, :] @ (C > 0.0))[:, 0].max(axis=1), 1.0)
+        return np.where(shared, 0.0, 0.0 - _log(mass))
     with np.errstate(divide="ignore"):  # log 0 of a zero entry or an all-zero prior row
         if a.value in _LINEAR_ORDERS:
             F = (((P[:, None, :] @ C ** a.value)[:, 0, :]) ** (1.0 / a.value)).sum(axis=1)

@@ -268,9 +268,13 @@ def maximal_alpha_beta_leakage(channel: Channel, alpha, beta: float,
 
 def multiplicative_f_capacity(channel: Channel, f: FMeanSpec) -> float:
     """Capacity over priors and gains when both means equal f and the
-    inverse of f is multiplicative: log f^-1(sum_y max_x C[x, y])."""
+    inverse of f is multiplicative and increasing: log f^-1(sum_y max_x C[x, y]).
+    A decreasing inverse raises, as finite gains exceed that number then."""
     if not has_multiplicative_inverse(f):
         raise ParameterError(f"{f.name} does not have a multiplicative inverse")
+    if not f.increasing:
+        raise ParameterError(f"{f.name} has a decreasing inverse, for which log f^-1(sum_y "
+                             "max_x C) is no upper bound and no capacity closed form is known")
     total = float(channel.matrix.max(axis=0).sum())
     return float(np.log(f.inverse(total)))
 

@@ -492,24 +492,33 @@ def test_linear_orders_match_the_log_domain_on_priors_with_zeros(rng):
 
 
 def test_linear_orders_keep_padded_rows_silent():
-    # a zero-padded row (weight 0, or an all-zero prior) gives the values it
-    # gave in the log domain and raises no RuntimeWarning
+    # at every order, a zero-padded row (weight 0, or an all-zero prior)
+    # gives its limit value and raises no RuntimeWarning
     outer = np.array([0.3, 0.7, 0.0])
     inners = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.0, 0.0, 0.0]])
     C = np.array([[0.9, 0.1], [0.4, 0.6], [0.0, 1.0]])
     P = np.array([[0.2, 0.3, 0.5], [0.0, 0.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for a, zero_row in ((0.5, -math.inf), (2.0, math.inf)):
+        for a in (0.0, 0.5, 1.0, 1.5, 2.0, 5.0, 1e3, math.inf):
             order = AlphaOrder.of(a)
+            # H_alpha of the zero row, H_alpha(X | Y) of an all-zero outer, Sibson of a zero prior
+            if a == 1.0:
+                zero_row, empty, zero_prior = 0.0, 0.0, 0.0
+            elif a == math.inf:
+                zero_row, empty, zero_prior = math.inf, math.inf, -math.inf
+            else:
+                zero_row = -math.inf / (1.0 - a)
+                empty = math.log(3) if a == 0.0 else -math.inf / ((1.0 - a) / a)
+                zero_prior = 0.0 if a == 0.0 else -math.inf * a / (a - 1.0)
             assert _renyi_entropies(inners, order)[2] == zero_row
             padded, unpadded = _arimoto(outer, inners, order), _arimoto(outer[:2], inners[:2], order)
             assert padded == pytest.approx(unpadded, rel=1e-15, abs=0)
             stacked = _arimoto(np.stack([outer, 0.0 * outer]), np.stack([inners, inners]), order)
-            assert stacked[1][1] == -math.inf / ((1.0 - a) / a)  # log 0 over the rate
+            assert stacked[1][1] == empty
             sibson = _sibson(P, C, order)
             assert sibson[0] == pytest.approx(sibson_mi(Prior(P[0]), Channel(C), a), rel=1e-15)
-            assert sibson[1] == -math.inf * a / (a - 1.0)
+            assert sibson[1] == zero_prior
 
 
 def test_linear_orders_skip_the_log_sum_exp(monkeypatch, rng):

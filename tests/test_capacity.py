@@ -524,6 +524,20 @@ def test_multiplicative_f_capacity_powers():
         multiplicative_f_capacity(channel, f_alpha(1.0))  # exp inverse
 
 
+def test_multiplicative_f_capacity_refuses_decreasing_inverses():
+    # t^-1 (f_alpha(0.5), the CLI's power:-1) and t^-3 (f_alpha(0.25)): log f^-1(sum_y max_x C)
+    # is negative on BSC(0.1), -0.588 and -0.196, yet an f = h leakage under one finite gain
+    # passes 1.5 and 0.5, so that number is no capacity
+    channel, prior = bsc(0.1), Prior([0.5, 0.5])
+    gain, hyper = FiniteMatrixGain([[1.0, 0.01], [0.01, 1.0]]), push(prior, channel)
+    for f, reached in ((f_alpha(0.5), 1.5), (f_alpha(0.25), 0.5)):
+        value = leakage(gen_prior_vulnerability(prior, gain, f),
+                        gen_posterior_vulnerability_avg(hyper, gain, f, f))
+        assert value > reached > 0.0 > math.log(f.inverse(channel.matrix.max(axis=0).sum()))
+        with pytest.raises(ParameterError, match="decreasing inverse"):
+            multiplicative_f_capacity(channel, f)
+
+
 def test_generalized_leakage_bounded_by_f_capacity(rng):
     channel = bsc(0.1)
     f = f_alpha(2.0)

@@ -206,6 +206,16 @@ def test_gain_matrix_from_csv(files, capsys, tmp_path):
     assert report["value"] == pytest.approx(1.0)
 
 
+def test_mult_f_capacity_refuses_a_decreasing_inverse(files, capsys):
+    # power:-1 is f_alpha(0.5), t^-1; the --max-case bound still serves both
+    for spec in ("alpha:0.5", "power:-1"):
+        argv = ["compute", "mult-f-capacity", "--f", spec, "--channel", str(files["channel"])]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: f_alpha[0.5] has a decreasing inverse"), err
+        assert run_json(capsys, argv + ["--max-case"])[0] == 0
+
+
 def test_max_case_capacity_reports_an_upper_bound(files, capsys):
     from qifkit import Channel, f_alpha, max_case_capacity_bound
 
