@@ -176,20 +176,52 @@ def arimoto_conditional_entropy(hyper: Hyper, alpha) -> float:
 
 
 def arimoto_mi(hyper: Hyper, alpha) -> float:
-    """Arimoto mutual information of order alpha: H_alpha(X) - H_alpha(X|Y)."""
+    """Arimoto mutual information of order alpha: H_alpha(X) - H_alpha(X|Y).
+    Order 0 reads supports off the hyper, where a posterior entry below the
+    float range is already 0, so it can exceed the order-0 value of the
+    prior and channel themselves, which sibson_mi reads."""
     return float(np.subtract(*_arimoto(hyper.outer, hyper.inners, AlphaOrder.of(alpha))))
+
+
+def _ab_orders(alpha, beta: float) -> tuple[AlphaOrder, float]:
+    """The checked order alpha in (1, inf] of the (alpha, beta) family, beta in
+    [1, inf], and the factor in front of the log-sum (log-max at beta = inf)."""
+    a = AlphaOrder.of(alpha)
+    if a.branch not in (FINITE_GT1, INFINITY):
+        raise ParameterError(f"alpha must lie in (1, inf], got {a.value}")
+    if not beta >= 1.0:
+        raise ParameterError(f"beta must lie in [1, inf], got {beta}")
+    if math.isinf(beta):
+        return a, 1.0 if a.branch == INFINITY else a.value / (a.value - 1.0)
+    return a, (1.0 / beta) if a.branch == INFINITY else a.value / ((a.value - 1.0) * beta)
+
+
+def _ab_scores(terms: np.ndarray, log_R: np.ndarray | float, a: AlphaOrder, beta: float,
+               shift: float = 0.0) -> np.ndarray:
+    """Reduce a stack (n, |X|, |Y|) of log w_x + alpha log C_xy (log w_x +
+    log C_xy at alpha = inf) in place to log M_y - shift, M_y = (sum_x w_x
+    C_xy^alpha)^(1/alpha) (max_x at alpha = inf), and score it against log_R
+    broadcast with it (a scalar or a row gives n scores, (r, 1, |Y|) rows give
+    (r, n)): log sum_y R_y^(1-beta) M_y^beta, or log max_y M_y / R_y at
+    beta = inf, before the order factor.  log_R must be finite where M_y = 0,
+    which drops those outputs."""
+    log_M = (np.maximum.reduce(terms, axis=1) if a.branch == INFINITY
+             else _logsumexp_into(terms, 1) / a.value) - shift
+    if math.isinf(beta):
+        return np.maximum.reduce(log_M - log_R, axis=-1)
+    return _logsumexp_into((1.0 - beta) * log_R + beta * log_M, -1)
 
 
 def _sibson(P: np.ndarray, C: np.ndarray, a: AlphaOrder) -> np.ndarray:
     """Sibson mutual information of each prior in a stack (n, |X|) through
     the channel matrix C (|X|, |Y|), in nats: alpha/(alpha-1) log F with
-    F = sum_y (sum_x pi_x C_xy^alpha)^(1/alpha).  Zero prior entries drop out.
-    At orders 1/2 and 2 F is summed directly, with no shift: each inner
-    sum is at most 1 and loses at most |X| 2^-1022 to underflow, so F loses
-    at most |Y| (|X| 2^-1022)^(1/alpha) of F >= 1 at alpha > 1, and
+    F = sum_y (sum_x pi_x C_xy^alpha)^(1/alpha).  Zero prior entries drop
+    out.  At orders 1/2 and 2 F is summed directly, with no shift: each
+    inner sum is at most 1 and loses at most |X| 2^-1022 to underflow, so F
+    loses at most |Y| (|X| 2^-1022)^(1/alpha) of F >= 1 at alpha > 1, and
     |Y| |X| 2^-1022 / alpha of F >= |X|^(1-1/alpha) (the value is at most
-    log|X|) at alpha < 1.  Other orders run in the log domain.
-    """
+    log|X|) at alpha < 1.  Other orders take log F from the (alpha, beta)
+    kernel at beta = 1."""
     if a.branch == INFINITY:
         return _log(np.where(P[:, :, None] > 0.0, C, 0.0).max(axis=1).sum(axis=1))
     if a.branch == ONE:  # Shannon information is symmetric: H(Y) - H(Y | X), C's rows the inners
@@ -208,8 +240,7 @@ def _sibson(P: np.ndarray, C: np.ndarray, a: AlphaOrder) -> np.ndarray:
         terms = np.log(C, out=np.empty((len(P),) + C.shape))
         terms *= a.value
         terms += np.log(P)[:, :, None]
-    per_output = _logsumexp_into(terms, -2) / a.value  # over x, in place
-    return _logsumexp_into(per_output, -1) * a.value / (a.value - 1.0)
+    return _ab_scores(terms, 0.0, a, 1.0) * a.value / (a.value - 1.0)
 
 
 def sibson_mi(prior: Prior, channel: Channel, alpha) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha import FINITE_GT1, INFINITY, AlphaOrder, _logsumexp_into, _sibson
+from .alpha import INFINITY, AlphaOrder, _ab_orders, _ab_scores, _logsumexp_into, _sibson
 from .core import Channel, Prior, _check_dims, _clean_rows
 from .errors import ParameterError
 from .fmeans import FMeanSpec, has_multiplicative_inverse
@@ -91,8 +91,7 @@ def renyi_ldp(channel: Channel, alpha) -> float:
     """Renyi local-DP leakage: the largest order-alpha Renyi divergence
     between two rows of the channel.  Defined for alpha in (1, inf]."""
     a = AlphaOrder.of(alpha)
-    if a.branch not in (FINITE_GT1, INFINITY):
-        raise ParameterError(f"renyi_ldp needs alpha > 1, got {a.value}")
+    _ab_orders(a, a.value)  # checked as the alpha = beta member of the (alpha, beta) family
     if a.branch == INFINITY:
         return ldp_leakage(channel)
     C, worst = channel.matrix, 0.0
@@ -107,35 +106,6 @@ def renyi_ldp(channel: Channel, alpha) -> float:
                     return INF
                 worst = max(worst, float(_logsumexp_into(terms, -1)) / (a.value - 1.0))
     return worst
-
-
-def _ab_orders(alpha, beta: float) -> tuple[AlphaOrder, float]:
-    """The checked order alpha, and the factor in front of the log-sum (or
-    of the log-max at beta = inf)."""
-    a = AlphaOrder.of(alpha)
-    if a.branch not in (FINITE_GT1, INFINITY):
-        raise ParameterError(f"alpha must lie in (1, inf], got {a.value}")
-    if not beta >= 1.0:
-        raise ParameterError(f"beta must lie in [1, inf], got {beta}")
-    if math.isinf(beta):
-        return a, 1.0 if a.branch == INFINITY else a.value / (a.value - 1.0)
-    return a, (1.0 / beta) if a.branch == INFINITY else a.value / ((a.value - 1.0) * beta)
-
-
-def _ab_scores(terms: np.ndarray, log_R: np.ndarray, a: AlphaOrder, beta: float,
-               shift: float = 0.0) -> np.ndarray:
-    """Reduce a stack (n, |X|, |Y|) of log w_x + alpha log C_xy (log w_x +
-    log C_xy at alpha = inf) in place to log M_y - shift, M_y = (sum_x w_x
-    C_xy^alpha)^(1/alpha) (max_x at alpha = inf), and score it against each
-    row of log_R broadcast with it, (r, 1, |Y|) rows giving (r, n) scores:
-    log sum_y R_y^(1-beta) M_y^beta, or log max_y M_y / R_y at beta = inf,
-    before the order factor.  log_R must be finite where M_y = 0, which
-    drops those outputs."""
-    log_M = (np.maximum.reduce(terms, axis=1) if a.branch == INFINITY
-             else _logsumexp_into(terms, 1) / a.value) - shift
-    if math.isinf(beta):
-        return np.maximum.reduce(log_M - log_R, axis=-1)
-    return _logsumexp_into((1.0 - beta) * log_R + beta * log_M, -1)
 
 
 def alpha_beta_leakage(prior: Prior, channel: Channel, alpha, beta: float) -> float:

@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import ParameterError
 
+_FD_STEP = 1e-6  # the central-difference step of projected_ascent
+
 
 @functools.lru_cache(maxsize=8)
 def simplex_grid(dim: int, resolution: int) -> np.ndarray:
@@ -50,8 +52,8 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + np.take_along_axis(lams, rho[..., None], axis=-1), 0.0)
 
 
-def projected_ascent(fun, start: np.ndarray, max_iterations: int = 300, tolerance: float = 1e-12,
-                     fd_step: float = 1e-6) -> tuple:
+def projected_ascent(fun, start: np.ndarray, max_iterations: int = 300,
+                     tolerance: float = 1e-12) -> tuple:
     """Maximize ``fun`` over the simplex by finite-difference projected
     gradient ascent with backtracking, from a start (dim,) or, in lockstep,
     from each row of a stack (n, dim).  ``fun`` scores an (m, dim) stack: the
@@ -65,7 +67,7 @@ def projected_ascent(fun, start: np.ndarray, max_iterations: int = 300, toleranc
     start = np.asarray(start, dtype=float)
     X = project_to_simplex(start.reshape(-1, start.shape[-1]))
     fX = np.array(fun(X), dtype=float)
-    steps, ladder = fd_step * np.eye(X.shape[1]), 0.25 * 0.5 ** np.arange(40.0)
+    steps, ladder = _FD_STEP * np.eye(X.shape[1]), 0.25 * 0.5 ** np.arange(40.0)
     running = np.arange(len(X))
     for _ in range(max_iterations):
         if not (running := running[fX[running] != np.inf]).size:
@@ -73,7 +75,7 @@ def projected_ascent(fun, start: np.ndarray, max_iterations: int = 300, toleranc
         x = X[running]
         stencil = np.stack([x[:, None] + steps, x[:, None] - steps], axis=2).reshape(-1, x.shape[1])
         values = np.asarray(fun(project_to_simplex(stencil)), dtype=float).reshape(len(x), -1)
-        grad = (values[:, 0::2] - values[:, 1::2]) / (2.0 * fd_step)
+        grad = (values[:, 0::2] - values[:, 1::2]) / (2.0 * _FD_STEP)
         norm = np.sqrt((grad[:, None] @ grad[:, :, None])[:, 0, 0])  # np.linalg.norm's dot, per row
         live = (norm != 0.0) & np.isfinite(norm)
         cands = project_to_simplex(x[live, None] + ladder[:, None] * grad[live, None]

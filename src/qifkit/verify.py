@@ -32,6 +32,7 @@ from .vulnerability import (
 )
 
 AXIOMS = ("NI", "MONO", "DPI_AVG", "DPI_MAX", "CVX", "QCVX", "AVG_LE_MAX")
+_ORACLE_RESOLUTION = 200  # the grid oracle's estimators have coordinates in 1/200ths
 
 
 @dataclass(frozen=True)
@@ -194,10 +195,10 @@ def run_axiom_suite(
                    lambda row, i: witness(i, axioms[row]))
 
 
-def _grid_min_expected_loss(prior: Prior, alpha: float, resolution: int = 200) -> float:
+def _grid_min_expected_loss(prior: Prior, alpha: float) -> float:
     """Brute-force oracle: minimum expected alpha-loss over a simplex grid
     of estimators."""
-    grid = simplex_grid(prior.dim, resolution)
+    grid = simplex_grid(prior.dim, _ORACLE_RESOLUTION)
     best = math.inf
     for w in grid:
         total = 0.0

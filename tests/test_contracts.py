@@ -295,3 +295,52 @@ def _oracle_errors(measure, inputs):
                     for got, exact in pairs:
                         worst[label] = max(worst.get(label, 0.0), _ulps(got, exact))
     return worst
+
+
+def _oracle_alpha_beta(p, C, a, b):
+    """alpha_beta_leakage from its definition: factor/b log sum_y p_y^(1-b)
+    M_y^b over the reached outputs (factor log max_y M_y / p_y at b = inf),
+    M_y = ||(pi_x C_xy)_x||_a / ||pi||_a (max_x pi_x C_xy / max_x pi_x at
+    a = inf), factor = a/(a-1) (1 at a = inf)."""
+    support = [(_dec(px), [_dec(c) for c in row]) for px, row in zip(p, C) if px > 0.0]
+    columns = range(len(C[0]))
+    if a == math.inf:
+        norm, factor = max(px for px, _ in support), Decimal(1)
+        M = [max(px * row[y] for px, row in support) / norm for y in columns]
+    else:
+        r = _dec(a)
+        norm, factor = sum(px ** r for px, _ in support) ** (1 / r), r / (r - 1)
+        M = [sum((px * row[y]) ** r for px, row in support) ** (1 / r) / norm for y in columns]
+    reached = [(sum(px * row[y] for px, row in support), m) for y, m in zip(columns, M)]
+    reached = [(q, m) for q, m in reached if q > 0]
+    if b == math.inf:
+        return factor * max(m / q for q, m in reached).ln()
+    b = _dec(b)
+    return factor / b * sum(q ** (1 - b) * m ** b for q, m in reached).ln()
+
+
+AB_ALPHAS = {"(1, 10]": (1.5, 2.0, 5.0), "(10, inf)": (50.0,), "inf": (math.inf,)}
+AB_BETAS = {"1": (1.0,), "(1, 10]": (1.5, 2.0, 5.0), "inf": (math.inf,)}
+# (alpha range, beta range): ulps of max(|value|, 1 nat), measured as above.
+# At beta = inf the error grows with |log p(y)| of the output that attains
+# the max, as log M_y - log p_y cancels: 769 ulps (1.7e-13 nats) where that
+# output's mass is 1e-200, against at most 18 on inputs without 1e-200 entries
+AB_ULP_CEILINGS = {("(1, 10]", "1"): 9, ("(1, 10]", "(1, 10]"): 9, ("(1, 10]", "inf"): 1154,
+                   ("(10, inf)", "1"): 3, ("(10, inf)", "(1, 10]"): 4, ("(10, inf)", "inf"): 16,
+                   ("inf", "1"): 2, ("inf", "(1, 10]"): 3, ("inf", "inf"): 16}
+
+
+def test_alpha_beta_leakage_sits_within_its_ulp_ceilings_of_a_50_digit_oracle():
+    worst = dict.fromkeys(AB_ULP_CEILINGS, 0.0)
+    for prior, channel, _ in _oracle_inputs():
+        p, C = prior.probs.tolist(), channel.matrix.tolist()
+        for a_label, b_label in AB_ULP_CEILINGS:
+            for a in AB_ALPHAS[a_label]:
+                for b in AB_BETAS[b_label]:
+                    with localcontext(prec=50):
+                        error = _ulps(capacity.alpha_beta_leakage(prior, channel, a, b),
+                                      _oracle_alpha_beta(p, C, a, b))
+                    worst[a_label, b_label] = max(worst[a_label, b_label], error)
+    over = {labels: (round(worst[labels], 2), ceiling)
+            for labels, ceiling in AB_ULP_CEILINGS.items() if worst[labels] > ceiling}
+    assert not over, f"alpha_beta_leakage: (ulps, ceiling) by order ranges {over}"
