@@ -459,8 +459,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for p in (comp, ver):
         p.add_argument("--seed", type=int, default=None, help="defaults to $QIFKIT_SEED")
-        p.add_argument("--restarts", type=int, default=12, help="restarts of a capacity search")
-        p.add_argument("--grid-resolution", type=int, default=60, help="prior-grid steps per unit")
+        p.add_argument("--restarts", type=int, default=SimplexOptimizerConfig.restarts,
+                       help="restarts of a capacity search")
+        p.add_argument("--grid-resolution", type=int, default=SimplexOptimizerConfig.grid_resolution,
+                       help="prior-grid steps per unit")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
     return parser
 

@@ -33,6 +33,8 @@ from .vulnerability import (
 
 AXIOMS = ("NI", "MONO", "DPI_AVG", "DPI_MAX", "CVX", "QCVX", "AVG_LE_MAX")
 _ORACLE_RESOLUTION = 200  # the grid oracle's estimators have coordinates in 1/200ths
+_AXIOM_TOLERANCE = 1e-9  # the largest violation an axiom check forgives
+_AGREEMENT_TOLERANCE, _STOCHASTIC_DRAWS = 2e-2, 40  # the equivalence check's allowance and draws
 
 
 @dataclass(frozen=True)
@@ -72,9 +74,9 @@ def classical_family() -> MeasureFamily:
     return MeasureFamily("classical-identity-gain", ident, ident, "identity")
 
 
-def alpha_family(alpha: float, gain: str = "simplex") -> MeasureFamily:
+def alpha_family(alpha: float) -> MeasureFamily:
     f = f_alpha(alpha)
-    return MeasureFamily(f"alpha[{alpha:g}]-{gain}", f, f, gain)
+    return MeasureFamily(f"alpha[{alpha:g}]-simplex", f, f, "simplex")
 
 
 def _result(theorem_ids, violations, instances_checked, tolerance, witness) -> list:
@@ -103,7 +105,6 @@ def run_axiom_suite(
     family: MeasureFamily,
     n_instances: int = 1000,
     seed: int = 0,
-    tolerance: float = 1e-9,
     axioms: tuple = AXIOMS,
 ) -> list[VerificationResult]:
     """Check the vulnerability axioms on random (prior, channel, refinement,
@@ -191,7 +192,7 @@ def run_axiom_suite(
         return drawn
 
     return _result([f"axiom:{ax}:{family.name}" for ax in axioms],
-                   violations[[AXIOMS.index(ax) for ax in axioms]], n_instances, tolerance,
+                   violations[[AXIOMS.index(ax) for ax in axioms]], n_instances, _AXIOM_TOLERANCE,
                    lambda row, i: witness(i, axioms[row]))
 
 
@@ -286,22 +287,20 @@ def verify_maximal_equals_capacity(
     h: FMeanSpec,
     sizes: tuple,
     config: SimplexOptimizerConfig | None = None,
-    agreement_tolerance: float = 2e-2,
-    n_stochastic: int = 40,
 ) -> VerificationResult:
     """Desk-scale check that guessing a randomized function of the secret
     adds nothing: the best generalized leakage over (prior, deterministic or
     stochastic side channel into U) equals the sup-over-prior capacity of
     the original channel.
 
-    Relabeling U changes no leakage, so one map per partition of X is
-    scored: ``instances_checked`` counts the (prior, map) systems covered,
-    ``systems_scored`` the rows computed, and a witness ``map`` is its
-    partition's representative.  The enumeration side must stay within
-    ``agreement_tolerance`` of the optimizer side (both grid-limited) and
+    Relabeling U changes no leakage, so one map per partition of X is scored,
+    then 40 seeded stochastic maps: ``instances_checked`` counts the (prior,
+    map) systems covered and the draws, ``systems_scored`` the rows computed,
+    and a witness ``map`` is its partition's representative.  The enumeration
+    side must stay within 2e-2 of the optimizer side (both grid-limited) and
     never exceed it beyond 1e-9; ``max_violation`` is the excess over those
-    allowances, so the tolerance is 0.  A non-finite leakage of any system,
-    map or draw alike, counts in ``non_finite_values`` and makes it +inf.
+    fixed allowances, so the tolerance is 0.  A non-finite leakage of any
+    system, map or draw alike, counts in ``non_finite_values`` and makes it +inf.
     """
     cfg = config or SimplexOptimizerConfig(grid_resolution=100)
     n_x, u_max = sizes
@@ -309,8 +308,6 @@ def verify_maximal_equals_capacity(
         raise ParameterError("sizes[0] must match the channel input count")
     if n_x > 3 or not 2 <= u_max <= 4:
         raise ParameterError("enumeration is feasible only for |X| <= 3, 2 <= |U| <= 4")
-    if n_stochastic < 0:
-        raise ParameterError("n_stochastic must be non-negative")
     if not isinstance(gain, (IdentityGain, SimplexGain)):
         raise ParameterError("the equivalence check needs an alphabet-generic gain")
     classical = f.is_affine and h.is_affine
@@ -337,9 +334,9 @@ def verify_maximal_equals_capacity(
     # the conditional rows; each conditional is zero-padded to u_max unused symbols of U
     rng = np.random.default_rng(cfg.seed)
     n_us = []
-    pis = np.empty((n_stochastic, n_x))
-    conditionals = np.zeros((n_stochastic, n_x, u_max))
-    for k in range(n_stochastic):
+    pis = np.empty((_STOCHASTIC_DRAWS, n_x))
+    conditionals = np.zeros((_STOCHASTIC_DRAWS, n_x, u_max))
+    for k in range(_STOCHASTIC_DRAWS):
         n_us.append(int(rng.integers(2, u_max + 1)))
         block = rng.standard_exponential(n_x * (n_us[k] + 1))
         pis[k], conditionals[k, :, : n_us[k]] = block[:n_x], block[n_x:].reshape(n_x, -1)
@@ -351,7 +348,7 @@ def verify_maximal_equals_capacity(
     maps = [m for m in product(range(u_max), repeat=n_x)
             if all(m[i] <= 1 + max(m[:i], default=-1) for i in range(n_x))]
     split = len(maps) * len(priors)
-    joints = np.empty((split + n_stochastic, channel.n_outputs, u_max))  # rows p(y, .)
+    joints = np.empty((split + _STOCHASTIC_DRAWS, channel.n_outputs, u_max))  # rows p(y, .)
     np.einsum("nx,mxu,xy->mnyu", priors, np.eye(u_max)[maps], C,
               out=joints[:split].reshape(len(maps), len(priors), -1, u_max))
     np.einsum("nx,nxu,xy->nyu", pis, conditionals, C, out=joints[split:])
@@ -380,12 +377,12 @@ def verify_maximal_equals_capacity(
     structural_excess = max(0.0, lhs - rhs)
     violation = math.inf if non_finite else max(
         0.0,
-        abs(lhs - rhs) - agreement_tolerance,
+        abs(lhs - rhs) - _AGREEMENT_TOLERANCE,
         structural_excess - 1e-9,
     )
     return VerificationResult(
         theorem_id="maximal-leakage-equals-capacity",
-        instances_checked=priors.shape[0] * (u_max**n_x) + n_stochastic,
+        instances_checked=priors.shape[0] * (u_max**n_x) + _STOCHASTIC_DRAWS,
         max_violation=violation,
         tolerance=0.0,
         worst_instance={

@@ -206,9 +206,7 @@ def test_criterion_6_maximal_equals_capacity_desk_scale():
             (IdentityGain(), ident, ident),
             (SimplexGain(), f2, f2),
         ):
-            result = verify_maximal_equals_capacity(
-                channel, gain, f, h, (n, 4), config, agreement_tolerance=2e-2
-            )
+            result = verify_maximal_equals_capacity(channel, gain, f, h, (n, 4), config)
             info = result.worst_instance
             agreement_worst = max(agreement_worst, abs(info["lhs"] - info["rhs"]))
             excess_worst = max(excess_worst, info["structural_excess"])

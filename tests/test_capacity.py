@@ -22,7 +22,7 @@ from qifkit.capacity import (
 from qifkit.cli import main
 from qifkit.core import Channel, Prior, _clean_rows, ni_channel, push
 from qifkit.errors import ParameterError, ValidationError
-from qifkit.fmeans import f_alpha, identity_fmean
+from qifkit.fmeans import ell_alpha, f_alpha, identity_fmean
 from qifkit.gains import FiniteMatrixGain, SimplexGain
 from qifkit.simplex import simplex_grid
 from qifkit.verify import verify_maximal_equals_capacity
@@ -567,6 +567,8 @@ def test_max_case_capacity_bound_examples():
     padded = Channel([[0.9, 0.0, 0.1], [0.1, 0.0, 0.9]])
     for f in (identity_fmean(), dec):
         assert max_case_capacity_bound(padded, f) == pytest.approx(math.log(9))
+    with pytest.raises(ParameterError, match="multiplicative inverse"):
+        max_case_capacity_bound(channel, ell_alpha(0.5))
 
 
 def test_max_case_bound_dominates_max_leakage(rng):

@@ -132,6 +132,8 @@ def test_ni_channel_point_hyper():
 def test_hyper_validates_inners():
     with pytest.raises(ValidationError):
         Hyper([0.5, 0.5], [[0.9, 0.2], [0.1, 0.9]])
+    with pytest.raises(ValidationError, match="one row per retained output"):
+        Hyper([0.5, 0.5], [[1.0, 0.0]])
 
 
 def test_hyper_needs_one_retained_output_per_outer_weight():

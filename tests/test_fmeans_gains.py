@@ -216,6 +216,12 @@ def test_custom_fmean_validation():
         custom_fmean(np.log, np.exp, "decreasing", "convex")  # wrong direction
     with pytest.raises(ParameterError):
         custom_fmean(np.log, lambda s: np.exp(2 * np.asarray(s, float)), "increasing", "convex")
+    with pytest.raises(ParameterError, match="unknown direction"):
+        custom_fmean(np.log, np.exp, "sideways", "affine")
+    with pytest.raises(ParameterError, match="unknown convexity"):
+        custom_fmean(np.log, np.exp, "increasing", "wobbly")
+    with pytest.raises(ParameterError, match="not increasing"):
+        custom_fmean(lambda t: -t, lambda s: -s, "increasing", "affine")
 
 
 def test_finite_matrix_gain_validation():
@@ -228,6 +234,11 @@ def test_finite_matrix_gain_validation():
         gain_matrix_for(gain, 3)
     with pytest.raises(ValidationError):
         gain_matrix_for(SimplexGain(), 2)
+    for shapeless in ([[]], [1.0, 2.0]):
+        with pytest.raises(ValidationError, match="non-empty and 2-D"):
+            FiniteMatrixGain(shapeless)
+    with pytest.raises(ValidationError, match="non-finite"):
+        FiniteMatrixGain([[1.0, math.nan]])
 
 
 def test_pointwise_gain_holds_reference():

@@ -121,10 +121,11 @@ def test_equivalence_check_random_3x3(rng):
     assert result.passed
 
 
-def test_equivalence_check_one_map_per_partition_reaches_the_all_maps_maximum():
+def test_equivalence_check_one_map_per_partition_reaches_the_all_maps_maximum(monkeypatch):
     # relabeling U leaves a map's leakage unchanged, so the check scores one
     # map per set partition of X; the maximum over every map, scored one at
-    # a time here, must be the same
+    # a time here, must be the same (with no stochastic draws, the maps alone)
+    monkeypatch.setattr(verify, "_STOCHASTIC_DRAWS", 0)
     config = SimplexOptimizerConfig(restarts=1, grid_resolution=4, seed=3)
     rng = np.random.default_rng(23)
     for n_x in (2, 3):
@@ -140,9 +141,7 @@ def test_equivalence_check_one_map_per_partition_reaches_the_all_maps_maximum():
                 joints = np.einsum("nx,xu,xy->nuy", priors, np.eye(u_max)[list(m)], channel.matrix)
                 h_u, h_cond = joint_arimoto(joints, order)
                 every_map = max(every_map, float(np.max(h_u - h_cond)))
-            result = verify_maximal_equals_capacity(
-                channel, gain, f, f, (n_x, u_max), config, n_stochastic=0
-            )
+            result = verify_maximal_equals_capacity(channel, gain, f, f, (n_x, u_max), config)
             info = result.worst_instance
             assert info["lhs"] == pytest.approx(every_map, abs=1e-14)
             witness = info["lhs_witness"]["map"]
@@ -172,11 +171,6 @@ def test_equivalence_check_preconditions():
     with pytest.raises(ParameterError):
         verify_maximal_equals_capacity(
             channel, SimplexGain(), f_alpha(2.0), ell_alpha(2.0), (2, 4), CFG
-        )
-    with pytest.raises(ParameterError):
-        # a negative draw count used to shrink instances_checked instead
-        verify_maximal_equals_capacity(
-            channel, SimplexGain(), f_alpha(2.0), f_alpha(2.0), (2, 4), CFG, n_stochastic=-5
         )
 
 
@@ -384,10 +378,10 @@ def _reciprocal_h():
 
 
 def _finite_random_families():
-    ident = identity_fmean()
-    return [MeasureFamily("classical-finite_random", ident, ident, "finite_random")] + [
-        alpha_family(a, "finite_random") for a in (0.5, 2.0, math.inf)
+    means = [("classical", identity_fmean())] + [
+        (f"alpha[{a:g}]", f_alpha(a)) for a in (0.5, 2.0, math.inf)
     ]
+    return [MeasureFamily(f"{name}-finite_random", f, f, "finite_random") for name, f in means]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -472,6 +466,9 @@ def test_axiom_suite_rejects_bad_axioms_before_drawing(monkeypatch):
     for axioms in ((), ("NI", "MONOTONICITY")):
         with pytest.raises(ParameterError, match="AXIOMS"):
             run_axiom_suite(classical_family(), 10, seed=0, axioms=axioms)
+    ident = identity_fmean()
+    with pytest.raises(ParameterError, match="unknown gain kind"):
+        run_axiom_suite(MeasureFamily("x", ident, ident, "bogus"), 5, 0)
 
 
 def test_axiom_suites_pass_with_finite_random_gains():
