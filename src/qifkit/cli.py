@@ -44,23 +44,6 @@ from .capacity import (
 from .core import Channel, Prior, push
 from .errors import QifError
 from .fmeans import FMeanSpec, f_alpha, h_alpha_beta, identity_fmean
-from .gains import FiniteMatrixGain, IdentityGain, SimplexGain
-from .verify import (
-    alpha_family,
-    classical_family,
-    run_axiom_suite,
-    verify_dual_formulas,
-    verify_maximal_equals_capacity,
-)
-from .vulnerability import (
-    ADDITIVE,
-    MULTIPLICATIVE,
-    argmax_action,
-    gen_posterior_vulnerability_avg,
-    gen_posterior_vulnerability_max,
-    gen_prior_vulnerability,
-    leakage,
-)
 
 TOOL = f"qifkit {__version__}"
 _FMEAN_FORMS = "identity | alpha:A | ab:A,B | power:P"
@@ -112,6 +95,8 @@ def _read_channel(path: str) -> Channel:
 
 
 def _parse_gain(spec: str, n_secrets: int):
+    from .gains import FiniteMatrixGain, IdentityGain, SimplexGain
+
     if spec == "identity":
         return IdentityGain()
     if spec == "simplex":
@@ -218,6 +203,10 @@ def _provenance(args, files: dict) -> dict:
 
 
 def _vulnerability(x) -> float:
+    from .vulnerability import (ADDITIVE, MULTIPLICATIVE, argmax_action, leakage,
+                                gen_posterior_vulnerability_avg, gen_posterior_vulnerability_max,
+                                gen_prior_vulnerability)
+
     f = x.f or identity_fmean()
     if x.measure == "prior-v":
         value = gen_prior_vulnerability(x.prior, x.gain, f)
@@ -380,16 +369,23 @@ def _compute(args) -> int:
 
 
 def _axioms(args, files: dict) -> list:
+    from .verify import alpha_family, classical_family, run_axiom_suite
+
     families = [classical_family()] + [alpha_family(a) for a in (0.5, 2.0, math.inf)]
     seed = _seed_from(args)
     return [r for family in families for r in run_axiom_suite(family, args.instances, seed)]
 
 
 def _dual(args, files: dict) -> list:
+    from .verify import verify_dual_formulas
+
     return verify_dual_formulas(args.instances, _seed_from(args))
 
 
 def _equivalence(args, files: dict) -> list:
+    from .gains import IdentityGain, SimplexGain
+    from .verify import verify_maximal_equals_capacity
+
     if not args.channel:
         raise CliError("verify equivalence requires --channel")
     channel = _read_channel(args.channel)

@@ -337,14 +337,14 @@ def test_compute_help_names_every_f_mean_form(capsys):
 
 
 def test_verify_failure_exits_3(files, capsys, monkeypatch):
-    import qifkit.cli as cli_module
+    import qifkit.verify as verify_module
 
     worst = {"instance": 2, "prior": [0.25, 0.75], "alpha": 2.0, "beta": math.inf}
 
     def failing(instances, seed):
         return [VerificationResult("dual:forced-failure", instances, 1.0, 1e-9, worst)]
 
-    monkeypatch.setattr(cli_module, "verify_dual_formulas", failing)
+    monkeypatch.setattr(verify_module, "verify_dual_formulas", failing)
     code, report = run_json(capsys, ["verify", "dual", "--instances", "5"])
     assert code == 3
     assert report["all_passed"] is False
