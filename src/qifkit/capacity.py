@@ -10,6 +10,7 @@ for a user objective scored one prior at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ class SimplexOptimizerConfig:
         if not np.iterable(self.vertex_epsilon_sequence):
             raise ParameterError("vertex_epsilon_sequence must be a sequence of integers, "
                                  f"got {self.vertex_epsilon_sequence!r}")
+        object.__setattr__(self, "vertex_epsilon_sequence", tuple(self.vertex_epsilon_sequence))
         if not isinstance(self.ascent_tolerance, numbers.Real):
             raise ParameterError("ascent_tolerance must be a real number, "
                                  f"got {self.ascent_tolerance!r}")
@@ -166,9 +168,23 @@ def alpha_beta_capacity_objective(channel: Channel, alpha, beta: float):
     return lambda weights: float(scores(np.asarray(weights, dtype=float)[None])[0])
 
 
+@functools.lru_cache(maxsize=8)
+def _search_tables(dim: int, cfg: SimplexOptimizerConfig) -> tuple:
+    """A search's candidates (the uniform prior, the grid, the near-vertex priors: 1 - 1/n on one
+    corner), the levels n and the restarts; read-only, built once while among the last 8 used."""
+    levels = tuple(int(n) for n in cfg.vertex_epsilon_sequence) if dim >= 2 else ()
+    n = np.array(levels, dtype=float)[:, None, None]
+    vertices = np.where(np.eye(dim, dtype=bool), 1.0 - 1.0 / n, 1.0 / (n * (dim - 1)))
+    grid = simplex_grid(dim, cfg.grid_resolution) if dim <= 3 else np.empty((0, dim))
+    points = np.vstack([np.full((1, dim), 1.0 / dim), grid, vertices.reshape(-1, dim)])
+    restarts = np.random.default_rng(cfg.seed).dirichlet(np.ones(dim), size=cfg.restarts)
+    points.flags.writeable = restarts.flags.writeable = False
+    return points, levels, restarts
+
+
 def _stack_search(scores, dim: int, config: SimplexOptimizerConfig | None = None):
-    """:func:`sup_over_prior` for ``scores``, which maps an (n, dim) stack of
-    priors to their n values."""
+    """:func:`sup_over_prior` for ``scores``, which maps an (n, dim) stack of priors to
+    their n values, from the tables built once per ``dim`` and config (:func:`_search_tables`)."""
     cfg = config or SimplexOptimizerConfig()
     evaluations = nan_count = 0
 
@@ -179,18 +195,12 @@ def _stack_search(scores, dim: int, config: SimplexOptimizerConfig | None = None
         nan_count += int(np.isnan(values).sum())
         return values
 
-    # the uniform prior, the grid and the near-vertex priors (1 - 1/n on one corner) in one call
-    levels = [int(n) for n in cfg.vertex_epsilon_sequence] if dim >= 2 else []
-    n = np.array(levels, dtype=float)[:, None, None]
-    vertices = np.where(np.eye(dim, dtype=bool), 1.0 - 1.0 / n, 1.0 / (n * (dim - 1)))
-    grid = simplex_grid(dim, cfg.grid_resolution) if dim <= 3 else np.empty((0, dim))
-    points = np.vstack([np.full((1, dim), 1.0 / dim), grid, vertices.reshape(-1, dim)])
+    points, levels, restarts = _search_tables(dim, cfg)
     values = np.fmax(counted(points), -INF)  # NaN candidates read as -inf
     best = int(np.argmax(values))
     best_val, best_point = float(values[best]), points[best]
     vertex_values = values[len(points) - dim * len(levels):].reshape(-1, dim)
     vertex_trend = {n: float(v) for n, v in zip(levels, vertex_values.max(axis=1))}
-    restarts = np.random.default_rng(cfg.seed).dirichlet(np.ones(dim), size=cfg.restarts)
     starts = np.vstack([best_point, restarts])  # in lockstep; in start order, a strict rise wins
     for val, point in zip(*projected_ascent(counted, starts, max_iterations=cfg.max_iterations,
                                             tolerance=cfg.ascent_tolerance)):

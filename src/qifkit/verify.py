@@ -8,6 +8,7 @@ derived from ``max_violation <= tolerance`` and never set independently.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -280,6 +281,28 @@ def verify_dual_formulas(n_instances: int = 200, seed: int = 0) -> list[Verifica
             for (name, tolerance, count, comparisons), out in zip(checks, gaps)]
 
 
+@functools.lru_cache(maxsize=8)
+def _equivalence_tables(n_x: int, u_max: int, resolution: int, seed: int, draws: int) -> tuple:
+    """The equivalence check's priors, maps with their one-hot rows, and stochastic draws,
+    read-only and built once while among the last 8 used."""
+    priors = np.vstack([simplex_grid(n_x, resolution), np.full((1, n_x), 1.0 / n_x)])
+    # H_alpha(U) and H_alpha(U | Y) ignore labels: the restricted-growth
+    # strings, one per partition, each its first labeling in product order
+    maps = tuple(m for m in product(range(u_max), repeat=n_x)
+                 if all(m[i] <= 1 + max(m[:i], default=-1) for i in range(n_x)))
+    # per draw n_u, then one exponential block for pi and the conditional rows (zero-padded)
+    rng, n_us = np.random.default_rng(seed), []
+    pis, conditionals = np.empty((draws, n_x)), np.zeros((draws, n_x, u_max))
+    for k in range(draws):
+        n_us.append(int(rng.integers(2, u_max + 1)))
+        block = rng.standard_exponential(n_x * (n_us[k] + 1))
+        pis[k], conditionals[k, :, : n_us[k]] = block[:n_x], block[n_x:].reshape(n_x, -1)
+    tables = priors, np.eye(u_max)[list(maps)], _dirichlet_rows(pis), _dirichlet_rows(conditionals)
+    for table in tables:
+        table.flags.writeable = False
+    return (*tables, maps, tuple(n_us))
+
+
 def verify_maximal_equals_capacity(
     channel: Channel,
     gain: GainSpec,
@@ -301,6 +324,8 @@ def verify_maximal_equals_capacity(
     never exceed it beyond 1e-9; ``max_violation`` is the excess over those
     fixed allowances, so the tolerance is 0.  A non-finite leakage of any
     system, map or draw alike, counts in ``non_finite_values`` and makes it +inf.
+    Priors, maps and draws are built once per sizes, grid and seed
+    (:func:`_equivalence_tables`); a map sums blocks of one pi_x C_xy table.
     """
     cfg = config or SimplexOptimizerConfig(grid_resolution=100)
     n_x, u_max = sizes
@@ -325,31 +350,16 @@ def verify_maximal_equals_capacity(
         )
 
     C = channel.matrix
-    priors = np.vstack([simplex_grid(n_x, cfg.grid_resolution), np.full((1, n_x), 1.0 / n_x)])
+    priors, onehots, pis, conditionals, maps, n_us = _equivalence_tables(
+        n_x, u_max, cfg.grid_resolution, cfg.seed, _STOCHASTIC_DRAWS)
 
     # Bayes multiplicative leakage is the Arimoto information of order inf
     order = AlphaOrder.of(math.inf if classical else f.alpha)
 
-    # the stochastic side channels, per draw n_u, then one exponential block for pi and
-    # the conditional rows; each conditional is zero-padded to u_max unused symbols of U
-    rng = np.random.default_rng(cfg.seed)
-    n_us = []
-    pis = np.empty((_STOCHASTIC_DRAWS, n_x))
-    conditionals = np.zeros((_STOCHASTIC_DRAWS, n_x, u_max))
-    for k in range(_STOCHASTIC_DRAWS):
-        n_us.append(int(rng.integers(2, u_max + 1)))
-        block = rng.standard_exponential(n_x * (n_us[k] + 1))
-        pis[k], conditionals[k, :, : n_us[k]] = block[:n_x], block[n_x:].reshape(n_x, -1)
-    pis, conditionals = _dirichlet_rows(pis), _dirichlet_rows(conditionals)
-
-    # H_alpha(U) and H_alpha(U | Y) ignore labels: the restricted-growth
-    # strings, one per partition, each its first labeling in product order.
-    # One stack scores them map-major over the priors, then the draws
-    maps = [m for m in product(range(u_max), repeat=n_x)
-            if all(m[i] <= 1 + max(m[:i], default=-1) for i in range(n_x))]
+    # one stack scores the maps map-major over the priors, then the draws
     split = len(maps) * len(priors)
     joints = np.empty((split + _STOCHASTIC_DRAWS, channel.n_outputs, u_max))  # rows p(y, .)
-    np.einsum("nx,mxu,xy->mnyu", priors, np.eye(u_max)[maps], C,
+    np.matmul((priors[:, :, None] * C).swapaxes(1, 2), onehots[:, None],
               out=joints[:split].reshape(len(maps), len(priors), -1, u_max))
     np.einsum("nx,nxu,xy->nyu", pis, conditionals, C, out=joints[split:])
     p_y = joints.sum(axis=2)

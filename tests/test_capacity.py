@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -133,7 +134,30 @@ def test_optimizer_config_rejects_a_scalar_vertex_sequence():
     # a scalar used to raise a bare TypeError ("'int' object is not iterable")
     with pytest.raises(ParameterError, match="^vertex_epsilon_sequence must be a sequence"):
         SimplexOptimizerConfig(vertex_epsilon_sequence=10)
-    assert SimplexOptimizerConfig(vertex_epsilon_sequence=[10]).vertex_epsilon_sequence == [10]
+    assert SimplexOptimizerConfig(vertex_epsilon_sequence=[10]).vertex_epsilon_sequence == (10,)
+
+
+def test_optimizer_configs_hash_and_key_read_only_search_tables():
+    # a list vertex sequence is kept as a tuple, so every config hashes and can key the tables
+    listed = SimplexOptimizerConfig(restarts=2, grid_resolution=7, vertex_epsilon_sequence=[10, 100])
+    tupled = SimplexOptimizerConfig(restarts=2, grid_resolution=7, vertex_epsilon_sequence=(10, 100))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    channel = Channel([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]])
+    results = []
+    for config in (listed, tupled):
+        capacity._search_tables.cache_clear()
+        value, prior, diagnostics = maximal_alpha_leakage(channel, 2.0, config)
+        results.append((value.hex(), prior.probs.tobytes(), diagnostics))
+    assert results[0] == results[1]
+    points, levels, restarts = tables = capacity._search_tables(3, listed)
+    assert capacity._search_tables(3, tupled) is tables and levels == (10, 100)
+    for table, fresh in zip((points, restarts), capacity._search_tables.__wrapped__(3, tupled)[::2]):
+        assert not table.flags.writeable and table.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.5
+    reseeded = capacity._search_tables(3, dataclasses.replace(tupled, seed=1))
+    assert reseeded[0] is not points and np.array_equal(reseeded[0], points)
+    assert not np.array_equal(reseeded[2], restarts)
 
 
 def test_optimizer_config_rejects_a_non_numeric_tolerance():

@@ -155,6 +155,78 @@ def test_equivalence_check_one_map_per_partition_reaches_the_all_maps_maximum(mo
             assert result.instances_checked == len(priors) * u_max**n_x
 
 
+# (|X|, pair, u_max) -> lhs, rhs (float.hex), lhs witness, systems scored, instances checked;
+# seeded 2x2 and 3x3 channels under the benchmark's capacity config, and the Z-channel of
+# test_equivalence_check_scores_the_stochastic_draws, where a stochastic draw is the witness
+EQUIVALENCE_PINS = [
+    (2, "identity", 2, "0x1.fee535a50fad4p-3", "0x1.fee535a50fad4p-3",
+     {"map": [0, 1], "prior": [0.5, 0.5]}, 84, 128),
+    (2, "identity", 4, "0x1.fee535a50fad4p-3", "0x1.fee535a50fad4p-3",
+     {"map": [0, 1], "prior": [0.5, 0.5]}, 84, 392),
+    (2, "simplex,f2", 2, "0x1.5ccceb8c3fd68p-4", "0x1.5fafeb9ed8a75p-4",
+     {"map": [0, 1], "prior": [0.55, 0.44999999999999996]}, 84, 128),
+    (2, "simplex,f2", 4, "0x1.5ccceb8c3fd68p-4", "0x1.5fafeb9ed8a75p-4",
+     {"map": [0, 1], "prior": [0.55, 0.44999999999999996]}, 84, 392),
+    (3, "identity", 2, "0x1.8dbe7d7026685p-2", "0x1.8dbe7d7026685p-2",
+     {"map": [0, 0, 1], "prior": [0.5, 0.0, 0.5]}, 968, 1896),
+    (3, "identity", 4, "0x1.8dbe7d7026686p-2", "0x1.8dbe7d7026685p-2",
+     {"map": [0, 1, 2], "prior": [0.35, 0.30000000000000004, 0.35]}, 1200, 14888),
+    (3, "simplex,f2", 2, "0x1.1989e1029c2f0p-2", "0x1.19c6bad6f0ba1p-2",
+     {"map": [0, 0, 1], "prior": [0.55, 0.0, 0.45]}, 968, 1896),
+    (3, "simplex,f2", 4, "0x1.1989e1029c2f0p-2", "0x1.19c6bad6f0ba1p-2",
+     {"map": [0, 0, 1], "prior": [0.55, 0.0, 0.45]}, 1200, 14888),
+    ("z", "simplex,f5", 4, "0x1.9b139426bbe00p-6", "0x1.1423ee05d277ap-5",
+     {"stochastic_prior": [0.7554779942375363, 0.24452200576246363],
+      "conditional": [[0.1560928308758419, 0.022197676806847134, 0.3446888298105378,
+                       0.4770206625067733],
+                      [0.13459089764098803, 0.7710068647645865, 0.026255621942495116,
+                       0.06814661565193039]]}, 46, 88),
+]
+
+
+def test_equivalence_check_keeps_its_bits():
+    # exact float equality: each witness float above is its shortest round-trip repr
+    rng = np.random.default_rng(30)
+    channels = {n: Channel(rng.dirichlet(np.ones(n), size=n)) for n in (2, 3)}
+    channels["z"] = Channel([[1.0, 0.0], [0.95, 0.05]])
+    pairs = {"identity": (IdentityGain(), identity_fmean()),
+             "simplex,f2": (SimplexGain(), f_alpha(2.0)), "simplex,f5": (SimplexGain(), f_alpha(5.0))}
+    bench = SimplexOptimizerConfig(restarts=1, grid_resolution=20, max_iterations=3)
+    for n, pair, u_max, lhs, rhs, witness, scored, checked in EQUIVALENCE_PINS:
+        gain, f = pairs[pair]
+        config = SimplexOptimizerConfig(grid_resolution=1, restarts=2) if n == "z" else bench
+        channel = channels[n]
+        result = verify_maximal_equals_capacity(channel, gain, f, f, (channel.n_inputs, u_max),
+                                                config)
+        info = result.worst_instance
+        assert (info["lhs"].hex(), info["rhs"].hex()) == (lhs, rhs), (n, pair, u_max)
+        assert info["lhs_witness"] == witness, (n, pair, u_max)
+        assert (info["systems_scored"], result.instances_checked) == (scored, checked)
+        assert result.passed
+
+
+def test_equivalence_tables_are_read_only_and_keyed_on_the_draw_count(monkeypatch):
+    channel = random_channel(np.random.default_rng(4), 3, 3)
+    ident = identity_fmean()
+    config = SimplexOptimizerConfig(restarts=1, grid_resolution=6, seed=5)
+    tables = verify._equivalence_tables(3, 4, 6, 5, 40)
+    assert verify._equivalence_tables(3, 4, 6, 5, 40) is tables
+    for table in tables:
+        if isinstance(table, np.ndarray):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table.flat[0] = 0.5
+        else:
+            assert isinstance(table, tuple)
+    scored, priors = {}, len(simplex_grid(3, 6)) + 1
+    for draws in (40, 0, 40, 7):
+        monkeypatch.setattr(verify, "_STOCHASTIC_DRAWS", draws)
+        result = verify_maximal_equals_capacity(channel, IdentityGain(), ident, ident, (3, 4), config)
+        scored[draws] = result.worst_instance["systems_scored"]
+        assert result.instances_checked == priors * 4**3 + draws
+    assert scored == {40: priors * 5 + 40, 0: priors * 5, 7: priors * 5 + 7}  # five partitions
+
+
 def test_equivalence_check_preconditions():
     channel = bsc(0.1)
     ident = identity_fmean()
@@ -260,6 +332,7 @@ def test_equivalence_check_draws_match_a_dirichlet_loop(monkeypatch):
         channel = random_channel(np.random.default_rng(n_x), n_x, 3)
         for seed in range(50):
             normalized.clear()
+            verify._equivalence_tables.cache_clear()  # so that the draws are made, and recorded
             config = SimplexOptimizerConfig(restarts=1, grid_resolution=1, seed=seed)
             verify_maximal_equals_capacity(channel, IdentityGain(), ident, ident, (n_x, u_max),
                                            config)
