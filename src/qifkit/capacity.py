@@ -218,9 +218,9 @@ def sup_over_prior(objective, dim: int, config: SimplexOptimizerConfig | None = 
     The value is a certified lower bound on the supremum; global optimality
     is not claimed unless a closed form exists.  NaN evaluations are skipped;
     every objective call, the ascent's included, is counted.  ``objective``
-    maps one prior to a number and sees the candidates one by one, the
-    points of the lockstep restarts interleaved.  No built-in measure uses
-    it: they search stacks of priors directly.
+    maps one prior to a number and sees the candidates one by one, the lockstep
+    restarts' points interleaved, line-search steps past a first rise included.
+    No built-in measure uses it: they search stacks of priors directly.
     """
     return _stack_search(lambda points: np.array([float(objective(p)) for p in points]),
                          dim, config)
@@ -242,8 +242,9 @@ def maximal_alpha_leakage(channel: Channel, alpha, config: SimplexOptimizerConfi
 def maximal_alpha_beta_leakage(channel: Channel, alpha, beta: float,
                                config: SimplexOptimizerConfig | None = None):
     """Maximal (alpha, beta)-leakage: the reduced capacity objective,
-    searched on whole stacks of priors."""
-    return _stack_search(_ab_capacity_scores(channel, alpha, beta), channel.n_inputs, config)
+    searched on whole stacks of priors that pass the same checks as ``Prior``."""
+    ab = _ab_capacity_scores(channel, alpha, beta)
+    return _stack_search(lambda P: ab(_clean_rows(P, "prior", rows=True)), channel.n_inputs, config)
 
 
 def multiplicative_f_capacity(channel: Channel, f: FMeanSpec) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 from .errors import ParameterError
 
 _FD_STEP = 1e-6  # the central-difference step of projected_ascent
+_LADDER_BLOCKS = (0, 1, 4, 16, 40)  # its line search: rungs [0, 1), [1, 4), ... one call each
 
 
 @functools.lru_cache(maxsize=8)
@@ -60,10 +61,11 @@ def projected_ascent(fun, start: np.ndarray, max_iterations: int = 300,
     projected starts in one call, then per iteration the 2 * dim difference
     points (up and down interleaved) of every running ascent in one call, and
     their line-search steps 0.25 * 2^-k (k < 40), projected in one call and
-    scored one step per call over the ascents still searching, so each visits
-    the points it would alone.  Callers provide the multi-start.  Points are
-    scored only once projected; an ascent stops at +inf, which nothing beats.
-    Returns (value, point), or both as arrays for a stack."""
+    scored in four (k = 0, 1-3, 4-15, 16-39) over the ascents still searching:
+    each takes the first rise of its earliest block with one, as alone, and
+    is also scored past it in that block.  Callers provide the multi-start.
+    Points are scored only once projected; an ascent stops at +inf, which
+    nothing beats.  Returns (value, point), or both as arrays for a stack."""
     start = np.asarray(start, dtype=float)
     X = project_to_simplex(start.reshape(-1, start.shape[-1]))
     fX = np.array(fun(X), dtype=float)
@@ -82,13 +84,14 @@ def projected_ascent(fun, start: np.ndarray, max_iterations: int = 300,
                                    / norm[live, None, None])
         running = running[live]
         floor, searching = fX[running] + tolerance, np.arange(len(running))
-        for k in range(len(ladder) if searching.size else 0):
-            fc = np.asarray(fun(cands[searching, k]), dtype=float)
-            if not (up := fc > floor[searching]).any():
-                continue
-            won = searching[up]
-            X[running[won]], fX[running[won]] = cands[won, k], fc[up]
-            if not (searching := searching[~up]).size:
+        for lo, hi in zip(_LADDER_BLOCKS, _LADDER_BLOCKS[1:]):
+            if not searching.size:
                 break
+            fc = np.asarray(fun(cands[searching, lo:hi].reshape(-1, X.shape[1])),
+                            dtype=float).reshape(len(searching), -1)
+            rose = (up := fc > floor[searching][:, None]).any(axis=1)
+            won, k = searching[rose], up.argmax(axis=1)[rose]  # k: each one's first rising rung
+            X[at := running[won]], fX[at] = cands[won, lo + k], fc[rose, k]
+            searching = searching[~rose]
         running = np.delete(running, searching)  # a ladder with no rise ends its ascent
     return (float(fX[0]), X[0]) if start.ndim == 1 else (fX, X)

@@ -61,6 +61,21 @@ def reference_ascent(fun, start, max_iterations=300, tolerance=1e-12, fd_step=1e
     return fx, x
 
 
+LADDER_BLOCKS = ((0, 1), (1, 4), (4, 16), (16, 40))  # the line-search steps scored per call
+
+
+def blocks_scored(rungs: int) -> int:
+    """The line-search calls a lockstep ascent makes for an iteration in
+    which the reference ascent scored ``rungs`` steps (0: it stopped)."""
+    return sum(lo < rungs for lo, _ in LADDER_BLOCKS)
+
+
+def rungs_past_rise(rungs: int) -> int:
+    """The steps the lockstep ascent also scores after the first rise, to
+    the end of its block; 0 when no step rose (40) or none was scored (0)."""
+    return next(hi for _, hi in LADDER_BLOCKS if rungs <= hi) - rungs if rungs else 0
+
+
 def sequential_ascent(fun, starts, **kwargs):
     """Stand-in for the lockstep ``projected_ascent``: each start ascends alone, in order."""
     results = [reference_ascent(fun, s, **kwargs) for s in starts]

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from qifkit.core import Channel, Prior, _clean_rows, ni_channel, push
 from qifkit.errors import ParameterError, ValidationError
 from qifkit.fmeans import ell_alpha, f_alpha, identity_fmean
 from qifkit.gains import FiniteMatrixGain, SimplexGain
-from qifkit.simplex import simplex_grid
+from qifkit.simplex import project_to_simplex, projected_ascent, simplex_grid
 from qifkit.verify import verify_maximal_equals_capacity
 from qifkit.vulnerability import (
     gen_posterior_vulnerability_avg,
@@ -36,7 +38,7 @@ from qifkit.vulnerability import (
     prior_vulnerability,
 )
 
-from conftest import bsc, random_channel, random_prior, sequential_ascent
+from conftest import bsc, random_channel, random_prior, rungs_past_rise, sequential_ascent
 
 FAST = SimplexOptimizerConfig(restarts=6, grid_resolution=40, seed=3)
 
@@ -234,27 +236,79 @@ def test_sup_over_prior_sees_the_points_of_each_start_ascending_alone(monkeypatc
         return value, witness, diagnostics, seen
 
     lockstep = search()
-    monkeypatch.setattr(capacity, "projected_ascent", sequential_ascent)
+    rungs = []
+    monkeypatch.setattr(capacity, "projected_ascent",
+                        functools.partial(sequential_ascent, rungs=rungs))
     alone = search()
-    assert lockstep[:3] == alone[:3]
+    assert lockstep[:2] == alone[:2]
+    assert ({k: v for k, v in lockstep[2].items() if k != "evaluations"}
+            == {k: v for k, v in alone[2].items() if k != "evaluations"})
     assert lockstep[2]["nan_evaluations"] > 0
-    assert lockstep[3] != alone[3] and sorted(lockstep[3]) == sorted(alone[3])
+    assert [d["evaluations"] for d in (lockstep[2], alone[2])] == [len(lockstep[3]), len(alone[3])]
+    # every point seen alone is seen; each extra one is a step past the first rise in its block
+    extra = Counter(lockstep[3])
+    extra.subtract(alone[3])
+    assert lockstep[3] != alone[3] and min(extra.values()) >= 0
+    assert extra.total() == sum(map(rungs_past_rise, rungs)) > 0
+
+
+def test_a_line_search_costs_at_most_four_calls(rng):
+    # a ladder with no rise costs one call per block of steps, not one per step
+    calls = []
+
+    def first(P):
+        calls.append(len(P))
+        return P[:, 0]
+
+    start = project_to_simplex(np.full(3, 1.0 / 3))
+    value, point = projected_ascent(first, start, tolerance=10.0)
+    assert calls == [1, 6, 1, 3, 12, 24]
+    assert value == point[0] and np.array_equal(point, start)
+    # on a channel, every iteration is one stencil call, then the blocks in order up to the
+    # first that rises: at most 1 + 4 calls, and all four on the last, which ends the ascent
+    C, a = random_channel(rng, 3, 3).matrix, AlphaOrder.of(2.0)
+    calls.clear()
+
+    def sibson(P):
+        calls.append(len(P))
+        return _sibson(P, C, a)
+
+    projected_ascent(sibson, np.array([0.6, 0.3, 0.1]))
+    stencils = [i for i, n in enumerate(calls) if n == 6] + [len(calls)]
+    assert calls[0] == 1 and stencils[0] == 1 and len(stencils) > 3
+    for at, end in zip(stencils, stencils[1:]):
+        assert calls[at + 1:end] == [1, 3, 12, 24][:end - at - 1]
+    assert calls[-4:] == [1, 3, 12, 24]
+    # evaluations counts the rows the objective received, stacked or one prior at a time
+    rows, seen = [], []
+
+    def stacked(P):
+        rows.append(len(P))
+        return _sibson(P, C, a)
+
+    def one(p):
+        seen.append(p)
+        return float(_sibson(p[None], C, a)[0])
+
+    stack_evaluations = capacity._stack_search(stacked, 3, FAST)[2]["evaluations"]
+    scalar_evaluations = sup_over_prior(one, 3, FAST)[2]["evaluations"]
+    assert stack_evaluations == sum(rows) == scalar_evaluations == len(seen)
 
 
 # the parent of the lockstep ascent on channels from default_rng(25): value,
 # witness, evaluations and vertex trend (orders 10, 100, 1000, 10000), in hex
 DEFAULT_SEARCHES = [
     (3, 0.5, "0x1.1c0e885dcff7ep-2", ["0x1.0000000000000p-1", "0x0.0p+0", "0x1.0000000000000p-1"],
-     4043, ["0x1.1e77c04070087p-4", "0x1.e4b5e0ce3fd63p-8", "0x1.85b39510681d7p-11",
+     4187, ["0x1.1e77c04070087p-4", "0x1.e4b5e0ce3fd63p-8", "0x1.85b39510681d7p-11",
             "0x1.37ea19f0076b4p-14"]),
     (3, 2.0, "0x1.06e424c4e6172p-1", ["0x1.e3163d65abd85p-2", "0x0.0p+0", "0x1.0e74e14d2a13dp-1"],
-     3305, ["0x1.062fb2928ae73p-2", "0x1.03a3597d5b12cp-4", "0x1.fd699c8e9587cp-7",
+     3374, ["0x1.062fb2928ae73p-2", "0x1.03a3597d5b12cp-4", "0x1.fd699c8e9587cp-7",
             "0x1.f7e1896df2a08p-9"]),
     (3, math.inf, "0x1.38f8f854563cfp-1", ["0x1.5555555555555p-2"] * 3,
      1995, ["0x1.38f8f854563cfp-1"] * 4),
     (4, 5.0, "0x1.13350c79e00f9p-1",
      ["0x0.0p+0", "0x1.1e8d93aafe28ap-3", "0x1.474944bf7e7e7p-2", "0x1.14b7f8b58136ap-1"],
-     2255, ["0x1.af1b3a2e34173p-2", "0x1.13bcb5b3a4f24p-2", "0x1.3f18bcc77df6ep-3",
+     2505, ["0x1.af1b3a2e34173p-2", "0x1.13bcb5b3a4f24p-2", "0x1.3f18bcc77df6ep-3",
             "0x1.5a22f92c576eap-4"]),
 ]
 
@@ -273,7 +327,7 @@ def test_default_searches_keep_their_bits():
         assert [diagnostics["vertex_trend"][k].hex() for k in (10, 100, 1000, 10000)] == trend
     for (alpha, beta), value, witness, evaluations in (
             ((2.0, 1.5), "0x1.66da9a967a9edp+1", ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"],
-             3758),
+             4261),
             ((math.inf, 2.0), "0x1.41e5be09dd967p+1", ["0x1.5555555555555p-2"] * 3, 1995)):
         got, prior, diagnostics = maximal_alpha_beta_leakage(channels[3], alpha, beta)
         assert got.hex() == value and [x.hex() for x in prior.probs] == witness
@@ -330,6 +384,20 @@ def test_maximal_alpha_leakage_is_one_sibson_search(monkeypatch, rng):
         assert calls == [3]
         assert "route" not in diagnostics
         assert value == pytest.approx(sibson_mi(witness, channel, a), abs=1e-12)
+
+
+def test_maximal_leakages_return_their_witness_score_bit_for_bit():
+    rng = np.random.default_rng(32)
+    for n in range(2, 7):
+        for _ in range(4):
+            channel = random_channel(rng, n, int(rng.integers(2, 6)))
+            for a in (0.5, 2.0, 5.0):
+                value, witness, _ = maximal_alpha_leakage(channel, a)
+                assert value.hex() == sibson_mi(witness, channel, a).hex()
+            for a, b in ((2.0, 1.5), (2.0, 2.0), (3.0, 2.0)):
+                value, witness, _ = maximal_alpha_beta_leakage(channel, a, b)
+                score = alpha_beta_capacity_objective(channel, a, b)(witness.probs)
+                assert value.hex() == score.hex()
 
 
 def test_sup_over_prior_scores_stacks_like_single_priors(rng):
