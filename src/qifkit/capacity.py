@@ -220,10 +220,12 @@ def sup_over_prior(objective, dim: int, config: SimplexOptimizerConfig | None = 
     every objective call, the ascent's included, is counted.  ``objective``
     maps one prior to a number and sees the candidates one by one, the lockstep
     restarts' points interleaved, line-search steps past a first rise included.
+    Each point first passes the checks of ``Prior``, as in the built-in
+    searches, so the value is the witness's own score.
     No built-in measure uses it: they search stacks of priors directly.
     """
-    return _stack_search(lambda points: np.array([float(objective(p)) for p in points]),
-                         dim, config)
+    return _stack_search(lambda points: np.array(
+        [float(objective(p)) for p in _clean_rows(points, "prior", rows=True)]), dim, config)
 
 
 def maximal_alpha_leakage(channel: Channel, alpha, config: SimplexOptimizerConfig | None = None):

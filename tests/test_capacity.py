@@ -398,6 +398,9 @@ def test_maximal_leakages_return_their_witness_score_bit_for_bit():
                 value, witness, _ = maximal_alpha_beta_leakage(channel, a, b)
                 score = alpha_beta_capacity_objective(channel, a, b)(witness.probs)
                 assert value.hex() == score.hex()
+            objective = alpha_beta_capacity_objective(channel, 2.0, 1.5)
+            value, witness, _ = sup_over_prior(objective, n)
+            assert value.hex() == objective(witness.probs).hex()
 
 
 def test_sup_over_prior_scores_stacks_like_single_priors(rng):
@@ -409,7 +412,8 @@ def test_sup_over_prior_scores_stacks_like_single_priors(rng):
             def scalar(p):
                 return math.nan if p[0] > 0.9 else sibson_mi(Prior(p), channel, a)
 
-            def stacked(P):
+            def stacked(P):  # sup_over_prior hands scalar cleaned rows, which Prior cleans again
+                P = _clean_rows(P, "prior", rows=True)
                 values = _sibson(_clean_rows(P, "prior", rows=True), C, order)
                 return np.where(P[:, 0] > 0.9, math.nan, values)
 

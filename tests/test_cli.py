@@ -206,6 +206,24 @@ def test_gain_matrix_from_csv(files, capsys, tmp_path):
     assert report["value"] == pytest.approx(1.0)
 
 
+def test_power_means_report_finite_values_at_extreme_gains(files, capsys, tmp_path):
+    # t^-99 of a 1e-8 gain overflows, and t^5 of a 2e70 one: both means stay in the log domain
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("1e-8,1e-8\n")
+    code, report = run_json(capsys, ["compute", "prior-v", "--prior", str(files["prior"]),
+                                     "--gain", str(tiny), "--f", "alpha:0.01"])
+    assert code == 0 and report["reason"] is None
+    assert report["value"] == pytest.approx(1e-8, rel=1e-13)
+    channel, huge = tmp_path / "channel.csv", tmp_path / "huge.csv"
+    channel.write_text("0.9,0.1\n0.2,0.8\n")
+    huge.write_text("1e70,2e70\n2e70,1e70\n")
+    code, report = run_json(capsys, ["compute", "post-avg", "--prior", str(files["prior"]),
+                                     "--channel", str(channel), "--gain", str(huge),
+                                     "--f", "alpha:2", "--hmean", "ab:2,10"])
+    assert code == 0 and report["reason"] is None
+    assert report["value"] == pytest.approx(1.8300432440132e70, rel=1e-12)
+
+
 def test_mult_f_capacity_refuses_a_decreasing_inverse(files, capsys):
     # power:-1 is f_alpha(0.5), t^-1; the --max-case bound still serves both
     for spec in ("alpha:0.5", "power:-1"):

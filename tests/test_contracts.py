@@ -3,9 +3,10 @@
 Every private kernel that scores a stack of rows (priors, distributions or
 hypers) gives each row the bits of its one-row call, whatever the height of
 the stack; the public scalar functions are those one-row calls.  The
-order-alpha measures, and the simplex-gain vulnerabilities under ell_alpha,
-sit within a measured number of ulps of a 50-digit oracle written with the
-standard library's decimal.
+order-alpha measures, the simplex-gain vulnerabilities under ell_alpha and
+the power-mean vulnerabilities under identity and finite gains sit within a
+measured number of ulps of a 50-digit oracle written with the standard
+library's decimal.
 """
 
 import math
@@ -28,7 +29,7 @@ from qifkit.alpha import (
     sibson_mi,
 )
 from qifkit.core import Channel, Prior, _push_columns, push
-from qifkit.fmeans import custom_fmean, ell_alpha, f_alpha, identity_fmean
+from qifkit.fmeans import custom_fmean, ell_alpha, f_alpha, h_alpha_beta, identity_fmean
 from qifkit.gains import FiniteMatrixGain, IdentityGain, SimplexGain
 from qifkit.vulnerability import _gen_values, _posterior_values
 
@@ -109,26 +110,33 @@ def _cases(kernel, x):
         yield "push", pushed, HEIGHT
         return
     if kernel in ("_gen_values", "_posterior_values"):
+        if kernel == "_gen_values":
+            pairs = [(f, None) for f in _means()]
+        else:  # h = f, and a distinct power and exponential h; ell_alpha(0.5), exp(-t), is
+            # convex decreasing, outside a distinct h's class, so that check is off
+            pairs = [(f, f) for f in _means()] + [(f_alpha(2.0), h_alpha_beta(2.0, 3.0)),
+                                                  (identity_fmean(), ell_alpha(0.5))]
         for gain_name in ("identity", "simplex", "shared finite", "stacked finite"):
             shared = {"identity": IdentityGain(), "simplex": SimplexGain(),
                       "shared finite": FiniteMatrixGain(x.gain)}.get(gain_name)
-            for f in _means():
-                label = f"{gain_name} gain, f = {f.name}"
-                kkt = gain_name == "simplex" and f.kind == "custom"
-                if kernel == "_gen_values":
+            for f, h in pairs:
+                label = f"{gain_name} gain, f = {f.name}" + ("" if h is None else f", h = {h.name}")
+                height = KKT_HEIGHT if gain_name == "simplex" and f.kind == "custom" else HEIGHT
+                if h is None:
                     def gen(idx, g=shared, f=f):
                         return _per_row(_gen_values(x.P[idx], x.gains[idx] if g is None else g, f))
-                    yield label, gen, KKT_HEIGHT if kkt else HEIGHT
+                    yield label, gen, height
                 else:
-                    def posterior(idx, g=shared, f=f):
+                    def posterior(idx, g=shared, f=f, h=h):
                         hypers = [x.hypers[i] for i in idx]
-                        owner = np.repeat(np.arange(len(idx)), [h.n_outputs for h in hypers])
+                        owner = np.repeat(np.arange(len(idx)), [y.n_outputs for y in hypers])
                         gains = np.concatenate([x.post_gains[i] for i in idx]) if g is None else g
                         avg, worst = _posterior_values(
-                            np.concatenate([h.outer for h in hypers]),
-                            np.vstack([h.inners for h in hypers]), owner, gains, f, f)
+                            np.concatenate([y.outer for y in hypers]),
+                            np.vstack([y.inners for y in hypers]), owner, gains, f, h,
+                            enforce_h_class=False)
                         return _per_row(avg, worst)
-                    yield label, posterior, KKT_HEIGHT if kkt else HEIGHT
+                    yield label, posterior, height
         return
     for alpha in ORDERS:
         a = AlphaOrder.of(alpha)
@@ -410,3 +418,87 @@ def test_ell_simplex_vulnerabilities_sit_within_their_ulp_ceilings_of_a_50_digit
             for measure, ceilings in ELL_ULP_CEILINGS.items()
             for label, ceiling in ceilings.items() if worst[measure][label] > ceiling}
     assert not over, f"(ulps, ceiling) by vulnerability and order range {over}"
+
+
+def _dec_pow(x, e):
+    """x ** e for a float exponent e in decimal: exact integer and half-integer
+    powers (the first through a correctly rounded square root), exp(e ln x)
+    otherwise; 0 ** e is 0 for e > 0 and infinite for e < 0."""
+    if x == 0:
+        return Decimal(0) if e > 0 else Decimal("Infinity")
+    if e.is_integer():
+        return x ** int(e)
+    if (2 * e).is_integer():
+        return x.sqrt() ** int(2 * e)
+    return (_dec(e) * x.ln()).exp()
+
+
+def _oracle_power_mean(weights, values, e):
+    """(sum_i w_i v_i^e)^(1/e) over the w_i > 0: a zero v_i makes it 0 for e < 0."""
+    terms = [_dec(w) * _dec_pow(_dec(v), e) for w, v in zip(weights, values) if w > 0.0]
+    total = sum(terms)
+    return Decimal(0) if total == 0 or total.is_infinite() else _dec_pow(total, 1.0 / e)
+
+
+def _oracle_power_v(p, G, e):
+    """max_w (sum_x p_x g(w, x)^e)^(1/e) for the power mean t^e."""
+    return max(_oracle_power_mean(p, row, e) for row in G)
+
+
+POWER_ORDERS = (0.5, 2.0, 0.01)  # f_alpha exponents -1, 1/2 and -99
+POWER_HS = {"average, h = ab(2, 3)": (2.0, 3.0), "average, h = ab(2, 10)": (2.0, 10.0)}
+# relative ulps of the vulnerability, measured first: about 1.5 times the
+# largest error over 30 seeds of _oracle_inputs (seed 11, the one tested,
+# included), each scored under the identity gain and under one drawn gain with
+# zeros, scaled by 1e-8 and by 1e70.  V is exp(log V), so its error grows with
+# |log V|: at most 6 ulps under the identity gain, 70 at 1e-8 and 528 at 1e70
+POWER_ULP_CEILINGS = {
+    "prior": {0.5: 413, 2.0: 372, 0.01: 553},
+    "max": {0.5: 318, 2.0: 384, 0.01: 560},
+    "average, h = f": {0.5: 357, 2.0: 330, 0.01: 793},
+    "average, h = ab(2, 3)": {0.5: 533, 2.0: 504, 0.01: 398},
+    "average, h = ab(2, 10)": {0.5: 436, 2.0: 485, 0.01: 687},
+}
+
+
+def _power_errors(seed=11):
+    """The largest error in relative ulps of each vulnerability and f_alpha
+    order under the identity gain and finite gains over _oracle_inputs(seed)."""
+    worst = {measure: dict.fromkeys(POWER_ORDERS, 0.0) for measure in POWER_ULP_CEILINGS}
+    rng = np.random.default_rng([seed, 1])  # the gains
+    for prior, channel, _ in _oracle_inputs(seed):
+        hyper = push(prior, channel)
+        owner = np.zeros(hyper.n_outputs, dtype=int)
+        drawn = np.where(rng.random((ACTIONS, prior.dim)) < 0.2, 0.0,
+                         rng.uniform(0.1, 3.0, (ACTIONS, prior.dim)))
+        for gain, matrix in [(IdentityGain(), np.eye(prior.dim))] + [
+                (FiniteMatrixGain(scale * drawn), scale * drawn) for scale in (1e-8, 1e70)]:
+            G = matrix.tolist()
+            for a in POWER_ORDERS:
+                f = f_alpha(a)
+                got = {"prior": _gen_values(prior.probs[None], gain, f)[0]}
+                got["average, h = f"], got["max"] = (
+                    v[0] for v in _posterior_values(hyper.outer, hyper.inners, owner, gain, f, f))
+                for measure, (ha, hb) in POWER_HS.items():
+                    got[measure] = _posterior_values(hyper.outer, hyper.inners, owner, gain, f,
+                                                     h_alpha_beta(ha, hb))[0][0]
+                with localcontext(prec=50):
+                    values = [_oracle_power_v(q, G, f.power) for q in hyper.inners.tolist()]
+                    exact = {"prior": _oracle_power_v(prior.probs.tolist(), G, f.power),
+                             "max": max(values),
+                             "average, h = f": _oracle_power_mean(hyper.outer, values, f.power)}
+                    for measure, (ha, hb) in POWER_HS.items():
+                        exact[measure] = _oracle_power_mean(
+                            hyper.outer, values, h_alpha_beta(ha, hb).power)
+                    for measure, value in exact.items():
+                        error = _ulps(got[measure], value, floor=0.0)
+                        worst[measure][a] = max(worst[measure][a], error)
+    return worst
+
+
+def test_power_mean_vulnerabilities_sit_within_their_ulp_ceilings_of_a_50_digit_oracle():
+    worst = _power_errors()
+    over = {(measure, a): (round(worst[measure][a], 2), ceiling)
+            for measure, ceilings in POWER_ULP_CEILINGS.items()
+            for a, ceiling in ceilings.items() if worst[measure][a] > ceiling}
+    assert not over, f"(ulps, ceiling) by vulnerability and order {over}"
