@@ -74,8 +74,9 @@ def _logsumexp_into(scratch: np.ndarray, axis: int) -> np.ndarray:
         return np.log(total) + m.squeeze(axis)
 
 
-def _log(x: np.ndarray) -> np.ndarray:
-    """np.log, silent on a zero entry (a padded row's), which gives -inf."""
+def _log(x) -> np.ndarray:
+    """np.log of an array or a number, silent on a zero entry (a padded row's), which gives -inf."""
+    x = np.asarray(x, dtype=float)
     if x.ndim == 0 and x > 0.0 or np.count_nonzero(x) == x.size:
         return np.log(x)
     with np.errstate(divide="ignore"):
@@ -90,24 +91,21 @@ def _shannon(p: np.ndarray) -> np.ndarray:
 
 
 def _renyi_entropies(P: np.ndarray, a: AlphaOrder) -> np.ndarray:
-    """Renyi entropy of each distribution along the last axis of P.  While
-    alpha log|X| < 700 its sum needs no shift (p_max^alpha >= |X|^-alpha):
-    orders 1/2 and 2 sum P**alpha (a square root or square, zeros included),
-    others exp(alpha log P).  An all-zero (padded) row gives log 0, silently."""
+    """Renyi entropy of each distribution along the last axis of P.  Orders 1/2 and 2 sum
+    P**alpha (a square root or square, zeros included) with no shift, as p_max^alpha >=
+    |X|^-alpha cannot underflow; every other order reduces alpha log P by
+    :func:`_logsumexp_into`.  An all-zero (padded) row gives log 0, silently."""
     if a.branch == ZERO:
         return _log((P > 0).sum(axis=-1))
     if a.branch == ONE:
         return _shannon(P)
     if a.branch == INFINITY:
         return -_log(P.max(axis=-1))
-    unshifted = a.value * math.log(P.shape[-1]) < 700.0
     with np.errstate(divide="ignore"):
-        if unshifted and a.value in _LINEAR_ORDERS:
+        if a.value in _LINEAR_ORDERS:
             return np.log((P ** a.value).sum(axis=-1)) / (1.0 - a.value)
         log_p = np.log(P)
-        log_p *= a.value
-        if unshifted:
-            return np.log(np.exp(log_p, out=log_p).sum(axis=-1)) / (1.0 - a.value)
+    log_p *= a.value
     return _logsumexp_into(log_p, -1) / (1.0 - a.value)
 
 

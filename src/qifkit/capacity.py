@@ -114,18 +114,14 @@ def alpha_beta_leakage(prior: Prior, channel: Channel, alpha, beta: float) -> fl
     """Two-parameter generalized leakage of a specific prior, closed form.
 
     Reduces to Arimoto mutual information at beta = 1.  The alpha and beta
-    infinities are dedicated max-branches rather than large exponents.  One
-    row scored over the reached outputs: R = p(y), w = pi^alpha shifted by
-    log ||pi||_alpha, the prior tilted to order alpha."""
+    infinities are dedicated max-branches rather than large exponents.  One row scored
+    over every output: R = p(y), or 1 where no mass reaches y (M_y = 0, as in the maximal
+    objective), w = pi^alpha shifted by log ||pi||_alpha, the prior tilted to order alpha."""
     a, coeff = _ab_orders(alpha, beta)
     _check_dims(prior, channel)
-    C = channel.matrix
-    p_y = prior.probs @ C
-    keep = p_y > 0.0
-    if np.count_nonzero(keep) < keep.size:
-        p_y, C = p_y[keep], C[:, keep]
+    C, p_y = channel.matrix, prior.probs @ channel.matrix
     with np.errstate(divide="ignore"):  # zero prior entries give -inf
-        log_p, terms, log_py = np.log(prior.probs), np.log(C), np.log(p_y)
+        log_p, terms, log_py = np.log(prior.probs), np.log(C), np.log(np.where(p_y > 0.0, p_y, 1.0))
     terms += log_p[:, None]
     if a.branch == INFINITY:
         return coeff * float(_ab_scores(terms[None], log_py, a, beta, float(log_p.max()))[0])
@@ -176,6 +172,9 @@ def _search_tables(dim: int, cfg: SimplexOptimizerConfig) -> tuple:
     n = np.array(levels, dtype=float)[:, None, None]
     vertices = np.where(np.eye(dim, dtype=bool), 1.0 - 1.0 / n, 1.0 / (n * (dim - 1)))
     grid = simplex_grid(dim, cfg.grid_resolution) if dim <= 3 else np.empty((0, dim))
+    if cfg.restarts * dim > np.iinfo(np.intp).max:
+        raise ParameterError(f"restarts {cfg.restarts} over {dim} secrets need more entries "
+                             "than an array can index")
     points = np.vstack([np.full((1, dim), 1.0 / dim), grid, vertices.reshape(-1, dim)])
     restarts = np.random.default_rng(cfg.seed).dirichlet(np.ones(dim), size=cfg.restarts)
     points.flags.writeable = restarts.flags.writeable = False

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .alpha import INFINITY, ONE, ZERO, AlphaOrder, _ab_orders
+from .alpha import INFINITY, ONE, ZERO, AlphaOrder, _ab_orders, _log
 from .errors import ParameterError
 
 INCREASING = "increasing"
@@ -39,11 +39,6 @@ def _pow(t, p: float):
     t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore"):
         return np.power(t, p)
-
-
-def _log(t):
-    with np.errstate(divide="ignore"):
-        return np.log(np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -20,6 +21,9 @@ def simplex_grid(dim: int, resolution: int) -> np.ndarray:
     size grows as resolution**(dim-1)."""
     if dim < 1 or resolution < 1:
         raise ParameterError("dim and resolution must be positive")
+    if (size := math.comb(int(resolution) + dim - 1, dim - 1) * dim) > np.iinfo(np.intp).max:
+        raise ParameterError(f"grid_resolution {resolution} gives a {dim}-secret grid of {size} "
+                             "entries, more than an array can index")
     if dim == 1:
         return np.broadcast_to(1.0, (1, 1))  # a read-only [[1.0]]
     # stars and bars: m[:, l] units are left before level l takes its share

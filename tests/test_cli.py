@@ -266,11 +266,19 @@ def test_prior_csv_with_a_header_row_or_one_column(files, capsys, tmp_path):
 
 
 def test_input_and_option_errors_exit_2_with_their_message(files, capsys, tmp_path):
-    empty, gain = tmp_path / "empty.csv", tmp_path / "gain3.csv"
+    empty, gain, three = tmp_path / "empty.csv", tmp_path / "gain3.csv", tmp_path / "c3.csv"
     empty.write_text("\n ,\n")
     gain.write_text("1,0,0\n0,1,0\n")
+    three.write_text("0.8,0.1,0.1\n0.1,0.8,0.1\n0.1,0.1,0.8\n")
     prior, channel = str(files["prior"]), str(files["channel"])
+    # search budgets numpy cannot index used to exit 1 with a traceback
+    huge = str(10**20)
+    search = ["compute", "max-alpha-capacity", "--channel", channel, "--alpha", "2"]
     for argv, message in (
+        (search + ["--restarts", huge], f"restarts {huge} over 2 secrets"),
+        (search + ["--grid-resolution", huge], f"grid_resolution {huge} gives a 2-secret grid"),
+        (["verify", "equivalence", "--channel", str(three), "--grid-resolution", huge],
+         f"grid_resolution {huge} gives a 3-secret grid"),
         (["compute", "bayes-capacity", "--channel", str(empty)], "is empty"),
         (["compute", "prior-v", "--prior", prior, "--gain", str(gain)],
          "gain matrix has 3 columns, expected 2"),

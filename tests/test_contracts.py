@@ -6,7 +6,7 @@ the stack; the public scalar functions are those one-row calls.  The
 order-alpha measures, the simplex-gain vulnerabilities under ell_alpha and
 the power-mean vulnerabilities under identity and finite gains sit within a
 measured number of ulps of a 50-digit oracle written with the standard
-library's decimal.
+library's decimal, as do the capacity closed forms.
 """
 
 import math
@@ -356,6 +356,27 @@ def test_alpha_beta_leakage_sits_within_its_ulp_ceilings_of_a_50_digit_oracle():
     assert not over, f"alpha_beta_leakage: (ulps, ceiling) by order ranges {over}"
 
 
+def test_alpha_beta_leakage_scores_outputs_reached_only_by_zero_mass_secrets():
+    # the secrets with mass miss the last columns, which only zero-mass secrets reach; the
+    # oracle sums over the reached outputs, the kernel over all, an unreached one with R_y = 1
+    rng, unreached = np.random.default_rng(34), 0
+    for _ in range(40):
+        nx, ny = rng.integers(3, 7, size=2)
+        k = rng.integers(1, nx)
+        C = rng.dirichlet(np.ones(ny), size=nx)
+        C[:k, rng.integers(1, ny):] = 0.0
+        channel = Channel(C / C.sum(axis=1, keepdims=True))
+        prior = Prior(np.concatenate([rng.dirichlet(np.ones(k)), np.zeros(nx - k)]))
+        unreached += int(np.count_nonzero(prior.probs @ channel.matrix == 0.0))
+        p, C = prior.probs.tolist(), channel.matrix.tolist()
+        for a, b in ((1.5, 1.0), (2.0, 2.0), (2.0, 1.5), (5.0, math.inf), (math.inf, 2.0),
+                     (math.inf, math.inf)):
+            with localcontext(prec=50):
+                exact = float(_oracle_alpha_beta(p, C, a, b))
+            assert abs(capacity.alpha_beta_leakage(prior, channel, a, b) - exact) <= 2e-15
+    assert unreached > 40
+
+
 def _oracle_ell_log_mean(p, r):
     """log min_w sum_x p_x exp(r w_x) over distributions w, r < 0, by
     water-filling: the k largest log p_x are active, where each p_x exp(r w_x)
@@ -502,3 +523,63 @@ def test_power_mean_vulnerabilities_sit_within_their_ulp_ceilings_of_a_50_digit_
             for measure, ceilings in POWER_ULP_CEILINGS.items()
             for a, ceiling in ceilings.items() if worst[measure][a] > ceiling}
     assert not over, f"(ulps, ceiling) by vulnerability and order {over}"
+
+
+def _oracle_capacities(C):
+    """Each capacity closed form of the channel rows C, by label."""
+    rows = [[_dec(c) for c in row] for row in C]
+    columns = [column for column in zip(*rows) if max(column) > 0]  # the reachable ones
+    log_total = sum(max(column) for column in columns).ln()
+    exact = {"bayes_capacity": log_total,
+             "ldp_leakage": Decimal("Infinity") if any(min(c) == 0 for c in columns)
+             else max(max(c) / min(c) for c in columns).ln()}
+    mixed = exact["ldp_leakage"].is_infinite()  # so some row pair leaves the other's support
+    for a in CAPACITY_ORDERS:  # max over row pairs of log(sum_y mu_y^a / pi_y^(a-1)) / (a-1)
+        up = [[_dec_pow(v, a) for v in row] for row in rows]
+        down = [[_dec_pow(v, a - 1.0) for v in row] for row in rows]
+        exact[f"renyi_ldp[{a:g}]"] = Decimal("Infinity") if mixed else max(
+            sum(m / q for m, q in zip(m_a, q_b) if m > 0).ln() / _dec(a - 1.0)
+            for m_a in up for q_b in down)
+    for name, f in CAPACITY_FMEANS.items():  # log f^-1(total) = log(total) / e for f(t) = t^e
+        exact[f"multiplicative_f_capacity[{name}]"] = log_total / _dec(f.power)
+    return exact
+
+
+CAPACITY_ORDERS = (1.5, 2.0, 5.0)
+CAPACITY_FMEANS = {"identity": identity_fmean(), "f_alpha(2)": f_alpha(2.0),
+                   "f_alpha(5)": f_alpha(5.0)}
+# ulps of max(|value|, 1 nat), measured as for the order-alpha measures: about
+# 1.5 times the largest error over 30 seeds of _oracle_inputs, 0.5-2.2 ulps;
+# the renyi_ldp ceilings are the ones its pair loop's replacement must meet
+CAPACITY_ULP_CEILINGS = {
+    "bayes_capacity": 2, "ldp_leakage": 1, "renyi_ldp[1.5]": 4, "renyi_ldp[2]": 4,
+    "renyi_ldp[5]": 3, "multiplicative_f_capacity[identity]": 2,
+    "multiplicative_f_capacity[f_alpha(2)]": 3, "multiplicative_f_capacity[f_alpha(5)]": 3,
+}
+
+
+def _capacity_errors(seed=11):
+    """The largest error in ulps of each capacity closed form over _oracle_inputs(seed), and
+    the number of channels whose LDP leakage is +inf."""
+    worst, infinite = dict.fromkeys(CAPACITY_ULP_CEILINGS, 0.0), 0
+    for _, channel, _ in _oracle_inputs(seed):
+        got = {"bayes_capacity": capacity.bayes_capacity(channel),
+               "ldp_leakage": capacity.ldp_leakage(channel)}
+        for a in CAPACITY_ORDERS:
+            got[f"renyi_ldp[{a:g}]"] = capacity.renyi_ldp(channel, a)
+        for name, f in CAPACITY_FMEANS.items():
+            got[f"multiplicative_f_capacity[{name}]"] = capacity.multiplicative_f_capacity(
+                channel, f)
+        infinite += got["ldp_leakage"] == math.inf
+        with localcontext(prec=50):
+            for label, exact in _oracle_capacities(channel.matrix.tolist()).items():
+                worst[label] = max(worst[label], _ulps(got[label], exact))
+    return worst, infinite
+
+
+def test_capacity_closed_forms_sit_within_their_ulp_ceilings_of_a_50_digit_oracle():
+    worst, infinite = _capacity_errors()
+    over = {label: (round(worst[label], 2), ceiling)
+            for label, ceiling in CAPACITY_ULP_CEILINGS.items() if worst[label] > ceiling}
+    assert not over, f"(ulps, ceiling) by closed form {over}"
+    assert infinite  # a reachable column that mixes zero and non-zero entries

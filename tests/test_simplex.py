@@ -42,6 +42,12 @@ def test_simplex_grid_at_search_resolutions():
         simplex_grid(0, 3)
     with pytest.raises(ParameterError):
         simplex_grid(3, 0)
+    # a grid numpy cannot index: 10**20 used to fail with a TypeError from an
+    # object array; at dim 2, two entries per row put this one past the limit
+    with pytest.raises(ParameterError, match=r"^grid_resolution 10{20} gives a 3-secret grid"):
+        simplex_grid(3, 10**20)
+    with pytest.raises(ParameterError, match="more than an array can index"):
+        simplex_grid(2, np.iinfo(np.intp).max // 2)
 
 
 @pytest.mark.parametrize("dim, resolution", [(1, 5), (2, 200), (3, 20), (3, 60)])
